@@ -22,11 +22,15 @@
 //!   allocation and compaction bookkeeping; a short critical section only
 //!   the batch leader enters.
 //! * **Store** (`store`, [`LockRank::DatabaseStore`]) — the storage
-//!   engine behind an `RwLock`. Engines whose reads are side-effect-free
-//!   (the in-memory engine) expose a [`SharedRead`] view, so MVCC
-//!   snapshot reads run under the shared lock, concurrently with each
-//!   other; the paged engine mutates buffer-pool state on reads and stays
-//!   behind the exclusive lock.
+//!   engine behind an `RwLock`. [`StorageEngine`] reads take `&self`, so
+//!   MVCC snapshot reads run under the shared lock on every engine, and
+//!   only a batch leader's apply takes it exclusively. Whatever state a
+//!   read touches inside the engine (the paged engine's buffer pool) is
+//!   the engine's to latch.
+//!
+//! A database opened over a paged engine directory resumes above the
+//! engine's recovered [`StorageEngine::last_version`], so recovered data
+//! is visible at once and commit versions never run backwards.
 //!
 //! `last_commit_version` and `oldest_version` are additionally published
 //! as atomics (after the store apply, so a GRV can never hand out a
@@ -38,12 +42,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
-use rl_storage::SharedIoCounters;
+use rl_storage::{EvictionPolicy, MemoryEngine, PagedEngine, SharedIoCounters, StorageEngine};
 
 use crate::atomic;
 use crate::error::{Error, Result};
 use crate::metrics::{Metrics, SharedMetrics};
-use crate::storage::{EvictionPolicy, MemoryEngine, PagedEngine, StorageEngine};
 use crate::sync::{lock_ranked, lock_ranked_indexed, read_ranked, write_ranked, LockRank};
 use crate::transaction::{Command, Transaction};
 
@@ -326,9 +329,8 @@ struct CommitBatcher {
 
 /// Handle to a simulated FoundationDB cluster. Clone freely; all clones
 /// share state. Safe to use from multiple threads: snapshot reads run
-/// under a shared store lock (on engines with side-effect-free reads),
-/// and commits over disjoint key shards validate and apply in parallel,
-/// batched through a group-commit leader.
+/// under a shared store lock, and commits over disjoint key shards
+/// validate and apply in parallel, batched through a group-commit leader.
 #[derive(Clone)]
 pub struct Database {
     /// Recent-writes conflict index, sharded by key prefix.
@@ -362,18 +364,25 @@ impl Database {
     pub fn with_options(options: DatabaseOptions) -> Self {
         let metrics = Metrics::new_shared();
         let (engine, cleanup_dir) = build_engine(&options.engine, metrics.io_counters().clone());
+        // A reopened engine resumes where it left off: reads see the
+        // recovered data, and the next commit version lies above it.
+        let recovered = engine.last_version();
+        let horizon = recovered.saturating_sub(options.mvcc_window_versions);
         Database {
             shards: Arc::new(std::array::from_fn(
                 |_| Mutex::new(ConflictShard::default()),
             )),
-            core: Arc::new(Mutex::new(VersionCore::default())),
+            core: Arc::new(Mutex::new(VersionCore {
+                last_commit_version: recovered,
+                commits_since_compaction: 0,
+            })),
             store: Arc::new(RwLock::new(Store {
                 engine,
                 cleanup_dir,
             })),
             batcher: Arc::new(CommitBatcher::default()),
-            last_commit: Arc::new(AtomicU64::new(0)),
-            oldest: Arc::new(AtomicU64::new(0)),
+            last_commit: Arc::new(AtomicU64::new(recovered)),
+            oldest: Arc::new(AtomicU64::new(horizon)),
             options: Arc::new(options),
             clock_ms: Arc::new(AtomicU64::new(0)),
             metrics,
@@ -481,22 +490,6 @@ impl Database {
         if read_version < self.oldest.load(Ordering::Acquire) {
             return Err(Error::TransactionTooOld);
         }
-        match store.engine.as_shared_read() {
-            Some(shared) => Ok(shared.get(key, read_version)),
-            None => {
-                drop(store);
-                self.storage_get_exclusive(key, read_version)
-            }
-        }
-    }
-
-    /// Fallback for engines whose reads mutate internal state (the paged
-    /// engine's buffer pool): re-acquire exclusively and re-check.
-    fn storage_get_exclusive(&self, key: &[u8], read_version: u64) -> Result<Option<Vec<u8>>> {
-        let mut store = write_ranked(&self.store, LockRank::DatabaseStore);
-        if read_version < self.oldest.load(Ordering::Acquire) {
-            return Err(Error::TransactionTooOld);
-        }
         Ok(store.engine.get(key, read_version))
     }
 
@@ -507,25 +500,6 @@ impl Database {
         read_version: u64,
     ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let store = read_ranked(&self.store, LockRank::DatabaseStore);
-        if read_version < self.oldest.load(Ordering::Acquire) {
-            return Err(Error::TransactionTooOld);
-        }
-        match store.engine.as_shared_read() {
-            Some(shared) => Ok(shared.range(begin, end, read_version, false)),
-            None => {
-                drop(store);
-                self.storage_range_exclusive(begin, end, read_version)
-            }
-        }
-    }
-
-    fn storage_range_exclusive(
-        &self,
-        begin: &[u8],
-        end: &[u8],
-        read_version: u64,
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let mut store = write_ranked(&self.store, LockRank::DatabaseStore);
         if read_version < self.oldest.load(Ordering::Acquire) {
             return Err(Error::TransactionTooOld);
         }
@@ -791,18 +765,7 @@ impl Database {
     /// Diagnostic: number of live keys at the latest version.
     pub fn live_key_count(&self) -> usize {
         let version = self.last_commit.load(Ordering::Acquire);
-        let store = read_ranked(&self.store, LockRank::DatabaseStore);
-        match store.engine.as_shared_read() {
-            Some(shared) => shared.live_key_count(version),
-            None => {
-                drop(store);
-                self.live_key_count_exclusive(version)
-            }
-        }
-    }
-
-    fn live_key_count_exclusive(&self, version: u64) -> usize {
-        write_ranked(&self.store, LockRank::DatabaseStore)
+        read_ranked(&self.store, LockRank::DatabaseStore)
             .engine
             .live_key_count(version)
     }

@@ -44,7 +44,6 @@ pub mod error;
 pub mod kv;
 pub mod metrics;
 pub mod range;
-pub mod storage;
 pub mod subspace;
 pub mod sync;
 pub mod transaction;
@@ -55,7 +54,7 @@ pub use database::{Database, DatabaseOptions, EngineKind, PagedConfig};
 pub use error::{Error, Result};
 pub use kv::{KeySelector, KeyValue};
 pub use range::{RangeOptions, StreamingMode};
-pub use storage::{EvictionPolicy, StorageEngine};
+pub use rl_storage::{EvictionPolicy, StorageEngine};
 pub use subspace::Subspace;
 pub use sync::{
     lock, lock_ranked, lock_ranked_indexed, read_ranked, write_ranked, LockRank, RankedGuard,

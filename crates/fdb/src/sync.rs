@@ -26,9 +26,11 @@
 //! 5. [`LockRank::VersionCore`] — version allocation + compaction
 //!    bookkeeping; a short critical section only the batch leader takes.
 //! 6. [`LockRank::DatabaseStore`] — the storage engine `RwLock`; the
-//!    innermost lock. Acquired shared for MVCC snapshot reads on engines
-//!    that support them ([`read_ranked`]) and exclusive for commit
-//!    application ([`write_ranked`]).
+//!    innermost ranked lock. Acquired shared for MVCC snapshot reads
+//!    ([`read_ranked`]) and exclusive for commit application
+//!    ([`write_ranked`]). Under its shared side, the paged engine's
+//!    private pool latch is the one lock taken; it is a leaf, and it
+//!    carries no rank because `rl_storage` sits below this crate.
 //!
 //! In release builds the tracker compiles away entirely: [`lock_ranked`]
 //! is exactly [`lock`].

@@ -1,14 +1,11 @@
 //! The [`StorageEngine`] trait: the MVCC storage contract the simulator's
 //! commit pipeline and read paths are written against.
 //!
-//! The method set is exactly the API the original in-memory `VersionedStore`
-//! grew inside `rl_fdb`, so both engines are drop-in replacements for each
-//! other. All methods take `&mut self`: the database serializes access
-//! behind its store lock, and the paged engine mutates buffer-pool state
-//! even on reads. Engines whose reads are genuinely side-effect-free can
-//! additionally expose a [`SharedRead`] view via
-//! [`StorageEngine::as_shared_read`], letting the database run MVCC
-//! snapshot reads under a shared lock, concurrently with each other.
+//! Reads take `&self` and writes take `&mut self`, so the database runs
+//! MVCC snapshot reads under the shared side of its store lock,
+//! concurrently with each other, and applies commits under the exclusive
+//! side. An engine whose reads touch internal state (the paged engine's
+//! buffer pool) synchronizes that state itself, behind the `&self` reads.
 
 use std::str::FromStr;
 
@@ -73,26 +70,6 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     /// in-memory engine ignores it.
     fn commit_batch(&mut self) {}
 
-    /// Read the value of `key` visible at `read_version`.
-    fn get(&mut self, key: &[u8], read_version: u64) -> Option<Vec<u8>>;
-
-    /// Iterate keys in `[begin, end)` visible at `read_version`, in order.
-    /// `reverse` walks from the end of the range backwards.
-    fn range(
-        &mut self,
-        begin: &[u8],
-        end: &[u8],
-        read_version: u64,
-        reverse: bool,
-    ) -> Vec<(Vec<u8>, Vec<u8>)>;
-
-    /// The last key `< key` (or `<= key` with `or_equal`) visible at
-    /// `read_version`. Used for key-selector resolution.
-    fn last_less(&mut self, key: &[u8], or_equal: bool, read_version: u64) -> Option<Vec<u8>>;
-
-    /// The `n`-th visible key strictly after `anchor` (n >= 1), if any.
-    fn nth_after(&mut self, anchor: Option<&[u8]>, n: usize, read_version: u64) -> Option<Vec<u8>>;
-
     /// Drop versions that are no longer visible to any read version
     /// `>= oldest_version`, and entries that are entirely dead.
     fn compact(&mut self, oldest_version: u64);
@@ -100,33 +77,11 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     /// Force all buffered state to disk (checkpoint). No-op in memory.
     fn flush(&mut self) {}
 
-    /// Number of live keys at `read_version` (test/diagnostic helper).
-    fn live_key_count(&mut self, read_version: u64) -> usize;
-
-    /// Total number of (key, version) entries retained (diagnostic).
-    fn total_version_entries(&mut self) -> usize;
-
-    /// Short human-readable engine description for diagnostics.
-    fn describe(&self) -> String;
-
-    /// A shared, side-effect-free view of this engine's read path, if it
-    /// has one. The in-memory engine returns `Some` (its reads never
-    /// mutate); the paged engine returns `None` because even a point read
-    /// touches buffer-pool recency state, so its reads stay behind the
-    /// exclusive lock.
-    fn as_shared_read(&self) -> Option<&dyn SharedRead> {
-        None
-    }
-}
-
-/// Read-only MVCC access that is safe under a shared lock: many readers
-/// (and no writer) at once. Semantics match the corresponding
-/// [`StorageEngine`] methods exactly.
-pub trait SharedRead: Sync {
     /// Read the value of `key` visible at `read_version`.
     fn get(&self, key: &[u8], read_version: u64) -> Option<Vec<u8>>;
 
     /// Iterate keys in `[begin, end)` visible at `read_version`, in order.
+    /// `reverse` walks from the end of the range backwards.
     fn range(
         &self,
         begin: &[u8],
@@ -135,8 +90,19 @@ pub trait SharedRead: Sync {
         reverse: bool,
     ) -> Vec<(Vec<u8>, Vec<u8>)>;
 
-    /// Number of live keys at `read_version`.
+    /// The newest version any write or range clear applied to this engine
+    /// carries, including those recovered from disk at open. A reopened
+    /// database resumes its commit versions above it.
+    fn last_version(&self) -> u64;
+
+    /// Number of live keys at `read_version` (test/diagnostic helper).
     fn live_key_count(&self, read_version: u64) -> usize;
+
+    /// Total number of (key, version) entries retained (diagnostic).
+    fn total_version_entries(&self) -> usize;
+
+    /// Short human-readable engine description for diagnostics.
+    fn describe(&self) -> String;
 }
 
 #[cfg(test)]

@@ -2,7 +2,8 @@
 //! dual-slot metadata header.
 //!
 //! Pages 0 and 1 are two alternating *meta slots*. A checkpoint writes the
-//! next generation's metadata (tree root, WAL offset, free list) to the
+//! next generation's metadata (tree root, WAL offset, last applied
+//! version, free list) to the
 //! slot `generation % 2`, so a crash mid-write can at worst corrupt one
 //! slot — the other still holds the previous consistent generation, and
 //! open() picks the valid slot with the highest generation. Data pages
@@ -19,9 +20,10 @@ use std::path::Path;
 
 use crate::page::{frame, unframe, PageId, MAX_PAYLOAD, NO_PAGE, PAGE_SIZE};
 
-const MAGIC: u64 = 0x524C_5041_4745_4431; // "RLPAGED1"
-/// Fixed meta fields: magic + generation + page_count + root + lsn + count.
-const META_FIXED: usize = 8 + 8 + 4 + 4 + 8 + 4;
+const MAGIC: u64 = 0x524C_5041_4745_4432; // "RLPAGED2"
+/// Fixed meta fields: magic + generation + page_count + root + lsn +
+/// last_version + count.
+const META_FIXED: usize = 8 + 8 + 4 + 4 + 8 + 8 + 4;
 /// How many free-page ids fit in a persisted meta slot.
 const META_FREE_CAP: usize = (MAX_PAYLOAD - META_FIXED) / 4;
 
@@ -38,6 +40,9 @@ pub struct PageFile {
     root: PageId,
     /// WAL byte offset covered by the checkpointed tree.
     checkpoint_lsn: u64,
+    /// Newest version applied to the checkpointed tree (compaction may
+    /// since have pruned every entry that carried it).
+    last_version: u64,
     generation: u64,
 }
 
@@ -59,6 +64,7 @@ impl PageFile {
                 free: Vec::new(),
                 root: NO_PAGE,
                 checkpoint_lsn: 0,
+                last_version: 0,
                 generation: 0,
             };
             pf.write_meta_slot()?;
@@ -66,7 +72,7 @@ impl PageFile {
         }
 
         // Pick the valid meta slot with the highest generation.
-        let mut best: Option<(u64, u32, PageId, u64, Vec<PageId>)> = None;
+        let mut best: Option<Meta> = None;
         for slot in 0..2u32 {
             if (u64::from(slot) + 1) * PAGE_SIZE as u64 > len {
                 continue;
@@ -80,18 +86,20 @@ impl PageFile {
                 }
             }
         }
-        let (generation, page_count, root, checkpoint_lsn, free) = best.ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{}: no valid meta slot", path.display()),
-            )
-        })?;
+        let (generation, page_count, root, checkpoint_lsn, last_version, free) =
+            best.ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("{}: no valid meta slot", path.display()),
+                )
+            })?;
         Ok(PageFile {
             file,
             page_count,
             free,
             root,
             checkpoint_lsn,
+            last_version,
             generation,
         })
     }
@@ -102,6 +110,10 @@ impl PageFile {
 
     pub fn checkpoint_lsn(&self) -> u64 {
         self.checkpoint_lsn
+    }
+
+    pub fn last_version(&self) -> u64 {
+        self.last_version
     }
 
     pub fn page_count(&self) -> u32 {
@@ -154,12 +166,18 @@ impl PageFile {
         self.free.push(id);
     }
 
-    /// Persist a new metadata generation: the new tree root and the WAL
-    /// offset it covers. Caller must have already written every page the
-    /// new root reaches.
-    pub fn commit_meta(&mut self, root: PageId, checkpoint_lsn: u64) -> io::Result<()> {
+    /// Persist a new metadata generation: the new tree root, the WAL
+    /// offset it covers, and the newest version applied to it. Caller must
+    /// have already written every page the new root reaches.
+    pub fn commit_meta(
+        &mut self,
+        root: PageId,
+        checkpoint_lsn: u64,
+        last_version: u64,
+    ) -> io::Result<()> {
         self.root = root;
         self.checkpoint_lsn = checkpoint_lsn;
+        self.last_version = last_version;
         self.generation += 1;
         self.write_meta_slot()
     }
@@ -171,6 +189,7 @@ impl PageFile {
         payload.extend_from_slice(&self.page_count.to_le_bytes());
         payload.extend_from_slice(&self.root.to_le_bytes());
         payload.extend_from_slice(&self.checkpoint_lsn.to_le_bytes());
+        payload.extend_from_slice(&self.last_version.to_le_bytes());
         let persisted = self.free.len().min(META_FREE_CAP);
         payload.extend_from_slice(&(persisted as u32).to_le_bytes());
         for &id in &self.free[..persisted] {
@@ -183,7 +202,8 @@ impl PageFile {
     }
 }
 
-type Meta = (u64, u32, PageId, u64, Vec<PageId>);
+/// generation, page_count, root, checkpoint_lsn, last_version, free list.
+type Meta = (u64, u32, PageId, u64, u64, Vec<PageId>);
 
 fn parse_meta(page: &[u8]) -> io::Result<Meta> {
     let p = unframe(page)?;
@@ -198,7 +218,8 @@ fn parse_meta(page: &[u8]) -> io::Result<Meta> {
     let page_count = u32::from_le_bytes(p[16..20].try_into().unwrap());
     let root = u32::from_le_bytes(p[20..24].try_into().unwrap());
     let lsn = u64::from_le_bytes(p[24..32].try_into().unwrap());
-    let count = u32::from_le_bytes(p[32..36].try_into().unwrap()) as usize;
+    let last_version = u64::from_le_bytes(p[32..40].try_into().unwrap());
+    let count = u32::from_le_bytes(p[40..44].try_into().unwrap()) as usize;
     if p.len() < META_FIXED + 4 * count {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -214,7 +235,7 @@ fn parse_meta(page: &[u8]) -> io::Result<Meta> {
             )
         })
         .collect();
-    Ok((generation, page_count, root, lsn, free))
+    Ok((generation, page_count, root, lsn, last_version, free))
 }
 
 #[cfg(test)]
@@ -238,12 +259,13 @@ mod tests {
         assert_eq!((a, b), (2, 3));
         pf.write_page(a, b"alpha").unwrap();
         pf.write_page(b, b"beta").unwrap();
-        pf.commit_meta(a, 42).unwrap();
+        pf.commit_meta(a, 42, 7).unwrap();
         drop(pf);
 
         let mut pf = PageFile::open(&path).unwrap();
         assert_eq!(pf.root(), a);
         assert_eq!(pf.checkpoint_lsn(), 42);
+        assert_eq!(pf.last_version(), 7);
         assert_eq!(pf.read_page(a).unwrap(), b"alpha");
         assert_eq!(pf.read_page(b).unwrap(), b"beta");
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
@@ -256,7 +278,7 @@ mod tests {
         let a = pf.allocate();
         pf.write_page(a, b"x").unwrap();
         pf.free_now(a);
-        pf.commit_meta(NO_PAGE, 0).unwrap();
+        pf.commit_meta(NO_PAGE, 0, 0).unwrap();
         drop(pf);
 
         let mut pf = PageFile::open(&path).unwrap();
@@ -269,8 +291,8 @@ mod tests {
     fn newest_valid_meta_slot_wins() {
         let path = tmp("slots");
         let mut pf = PageFile::open(&path).unwrap();
-        pf.commit_meta(NO_PAGE, 10).unwrap(); // gen 1 -> slot 1
-        pf.commit_meta(NO_PAGE, 20).unwrap(); // gen 2 -> slot 0
+        pf.commit_meta(NO_PAGE, 10, 0).unwrap(); // gen 1 -> slot 1
+        pf.commit_meta(NO_PAGE, 20, 0).unwrap(); // gen 2 -> slot 0
         drop(pf);
         let pf = PageFile::open(&path).unwrap();
         assert_eq!(pf.checkpoint_lsn(), 20);

@@ -2,8 +2,9 @@
 //!
 //! The simulator's MVCC heart was a `BTreeMap<Vec<u8>, Vec<VersionedValue>>`
 //! living inside `rl_fdb`; correct, but memory-bound and blind to I/O. This
-//! crate extracts that API into a [`StorageEngine`] trait and provides two
-//! implementations:
+//! crate extracts that API into one [`StorageEngine`] trait, whose reads
+//! take `&self` (many at once, under the database's shared store lock) and
+//! whose writes take `&mut self`, and provides two implementations:
 //!
 //! * [`MemoryEngine`] — the original ordered in-memory map, retained as the
 //!   test oracle and the default engine.
@@ -13,6 +14,8 @@
 //!   copy-on-write B-tree keyed on raw bytes whose leaf entries hold the
 //!   per-key version chain ([`btree`]), and an append-only write-ahead log
 //!   segment that makes committed batches crash-recoverable ([`wal`]).
+//!   Its reads move buffer-pool state, so the pool sits behind a latch
+//!   inside the engine.
 //!
 //! ## Crash-consistency model
 //!
@@ -48,7 +51,7 @@ pub mod pool;
 pub mod replacer;
 pub mod wal;
 
-pub use engine::{EvictionPolicy, SharedRead, StorageEngine};
+pub use engine::{EvictionPolicy, StorageEngine};
 pub use memory::MemoryEngine;
 pub use paged::PagedEngine;
 pub use replacer::{ClockReplacer, LruReplacer, Replacer, SieveReplacer};

@@ -1,16 +1,16 @@
 //! The in-memory engine: an ordered multi-version map.
 //!
-//! This is the original `VersionedStore` from `rl_fdb`, moved here verbatim
-//! (plus a streaming reverse-range fix) and kept as the differential-test
-//! oracle for the disk-backed engine. Every committed write is recorded
-//! under its commit version; reads at a read version `v` observe, for each
-//! key, the newest write with version `<= v`. Old versions are
-//! garbage-collected once they fall out of the MVCC window.
+//! This is the simulator's original MVCC store, kept as the default engine
+//! and as the differential-test oracle for the disk-backed engine. Every
+//! committed write is recorded under its commit version; reads at a read
+//! version `v` observe, for each key, the newest write with version
+//! `<= v`. Old versions are garbage-collected once they fall out of the
+//! MVCC window. Reads never mutate, so many run at once.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
-use crate::engine::{SharedRead, StorageEngine};
+use crate::engine::StorageEngine;
 
 /// One versioned write to a key: `None` is a tombstone (clear).
 #[derive(Debug, Clone)]
@@ -19,22 +19,32 @@ struct VersionedValue {
     value: Option<Vec<u8>>,
 }
 
+/// The value of `versions` visible at `read_version` (`None` if absent or
+/// a tombstone).
+fn visible_at(versions: &[VersionedValue], read_version: u64) -> Option<&Vec<u8>> {
+    versions
+        .iter()
+        .rev()
+        .find(|v| v.version <= read_version)
+        .and_then(|v| v.value.as_ref())
+}
+
 /// Ordered multi-version key-value storage in memory.
 #[derive(Debug, Default)]
 pub struct MemoryEngine {
     map: BTreeMap<Vec<u8>, Vec<VersionedValue>>,
+    last_version: u64,
 }
 
 impl MemoryEngine {
     pub fn new() -> Self {
-        MemoryEngine {
-            map: BTreeMap::new(),
-        }
+        MemoryEngine::default()
     }
+}
 
-    /// Record a write (set or clear) at `version`. Versions must be applied
-    /// in nondecreasing order, which the commit pipeline guarantees.
-    pub fn write(&mut self, key: Vec<u8>, value: Option<Vec<u8>>, version: u64) {
+impl StorageEngine for MemoryEngine {
+    fn write(&mut self, key: Vec<u8>, value: Option<Vec<u8>>, version: u64) {
+        self.last_version = self.last_version.max(version);
         let versions = self.map.entry(key).or_default();
         debug_assert!(versions.last().is_none_or(|v| v.version <= version));
         if let Some(last) = versions.last_mut() {
@@ -46,13 +56,12 @@ impl MemoryEngine {
         versions.push(VersionedValue { version, value });
     }
 
-    /// Clear every key in `[begin, end)` at `version` by writing tombstones.
-    ///
     /// Tombstoning key-by-key (rather than tracking range tombstones) keeps
     /// reads simple; the cost is proportional to the number of live keys in
     /// the range, which matches FDB's own storage-server behaviour closely
     /// enough for the experiments in this repository.
-    pub fn clear_range(&mut self, begin: &[u8], end: &[u8], version: u64) {
+    fn clear_range(&mut self, begin: &[u8], end: &[u8], version: u64) {
+        self.last_version = self.last_version.max(version);
         let keys: Vec<Vec<u8>> = self
             .map
             .range::<[u8], _>((Bound::Included(begin), Bound::Excluded(end)))
@@ -64,88 +73,7 @@ impl MemoryEngine {
         }
     }
 
-    /// Read the value of `key` visible at `read_version`.
-    pub fn get(&self, key: &[u8], read_version: u64) -> Option<Vec<u8>> {
-        let versions = self.map.get(key)?;
-        versions
-            .iter()
-            .rev()
-            .find(|v| v.version <= read_version)
-            .and_then(|v| v.value.clone())
-    }
-
-    /// Iterate keys in `[begin, end)` visible at `read_version`, in order.
-    /// `reverse` walks from the end of the range backwards; both directions
-    /// stream straight off the `BTreeMap` range iterator (the reverse path
-    /// used to buffer the whole visible range and reverse it).
-    pub fn range(
-        &self,
-        begin: &[u8],
-        end: &[u8],
-        read_version: u64,
-        reverse: bool,
-    ) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let iter = self
-            .map
-            .range::<[u8], _>((Bound::Included(begin), Bound::Excluded(end)));
-        let visible = move |(k, versions): (&Vec<u8>, &Vec<VersionedValue>)| {
-            versions
-                .iter()
-                .rev()
-                .find(|v| v.version <= read_version)
-                .and_then(|v| v.value.as_ref())
-                .map(|val| (k.clone(), val.clone()))
-        };
-        if reverse {
-            iter.rev().filter_map(visible).collect()
-        } else {
-            iter.filter_map(visible).collect()
-        }
-    }
-
-    /// The last key `< key` (or `<= key` with `or_equal`) visible at
-    /// `read_version`. Used for key-selector resolution.
-    pub fn last_less(&self, key: &[u8], or_equal: bool, read_version: u64) -> Option<Vec<u8>> {
-        let bound = if or_equal {
-            Bound::Included(key)
-        } else {
-            Bound::Excluded(key)
-        };
-        self.map
-            .range::<[u8], _>((Bound::Unbounded, bound))
-            .rev()
-            .find(|(_, versions)| {
-                versions
-                    .iter()
-                    .rev()
-                    .find(|v| v.version <= read_version)
-                    .is_some_and(|v| v.value.is_some())
-            })
-            .map(|(k, _)| k.clone())
-    }
-
-    /// The `n`-th visible key strictly after `anchor` (n >= 1), if any.
-    pub fn nth_after(&self, anchor: Option<&[u8]>, n: usize, read_version: u64) -> Option<Vec<u8>> {
-        let lower = match anchor {
-            Some(a) => Bound::Excluded(a),
-            None => Bound::Unbounded,
-        };
-        self.map
-            .range::<[u8], _>((lower, Bound::Unbounded))
-            .filter(|(_, versions)| {
-                versions
-                    .iter()
-                    .rev()
-                    .find(|v| v.version <= read_version)
-                    .is_some_and(|v| v.value.is_some())
-            })
-            .nth(n - 1)
-            .map(|(k, _)| k.clone())
-    }
-
-    /// Drop versions that are no longer visible to any read version
-    /// `>= oldest_version`, and empty entries.
-    pub fn compact(&mut self, oldest_version: u64) {
+    fn compact(&mut self, oldest_version: u64) {
         self.map.retain(|_, versions| {
             // Keep the newest version <= oldest_version (still the visible
             // base for readers at the horizon) plus everything newer.
@@ -164,83 +92,11 @@ impl MemoryEngine {
         });
     }
 
-    /// Number of live keys at `read_version` (test/diagnostic helper).
-    pub fn live_key_count(&self, read_version: u64) -> usize {
-        self.map
-            .values()
-            .filter(|versions| {
-                versions
-                    .iter()
-                    .rev()
-                    .find(|v| v.version <= read_version)
-                    .is_some_and(|v| v.value.is_some())
-            })
-            .count()
-    }
-
-    /// Total number of (key, version) entries retained (diagnostic).
-    pub fn total_version_entries(&self) -> usize {
-        self.map.values().map(Vec::len).sum()
-    }
-}
-
-impl StorageEngine for MemoryEngine {
-    fn write(&mut self, key: Vec<u8>, value: Option<Vec<u8>>, version: u64) {
-        MemoryEngine::write(self, key, value, version);
-    }
-
-    fn clear_range(&mut self, begin: &[u8], end: &[u8], version: u64) {
-        MemoryEngine::clear_range(self, begin, end, version);
-    }
-
-    fn get(&mut self, key: &[u8], read_version: u64) -> Option<Vec<u8>> {
-        MemoryEngine::get(self, key, read_version)
-    }
-
-    fn range(
-        &mut self,
-        begin: &[u8],
-        end: &[u8],
-        read_version: u64,
-        reverse: bool,
-    ) -> Vec<(Vec<u8>, Vec<u8>)> {
-        MemoryEngine::range(self, begin, end, read_version, reverse)
-    }
-
-    fn last_less(&mut self, key: &[u8], or_equal: bool, read_version: u64) -> Option<Vec<u8>> {
-        MemoryEngine::last_less(self, key, or_equal, read_version)
-    }
-
-    fn nth_after(&mut self, anchor: Option<&[u8]>, n: usize, read_version: u64) -> Option<Vec<u8>> {
-        MemoryEngine::nth_after(self, anchor, n, read_version)
-    }
-
-    fn compact(&mut self, oldest_version: u64) {
-        MemoryEngine::compact(self, oldest_version);
-    }
-
-    fn live_key_count(&mut self, read_version: u64) -> usize {
-        MemoryEngine::live_key_count(self, read_version)
-    }
-
-    fn total_version_entries(&mut self) -> usize {
-        MemoryEngine::total_version_entries(self)
-    }
-
-    fn describe(&self) -> String {
-        format!("memory(keys={})", self.map.len())
-    }
-
-    fn as_shared_read(&self) -> Option<&dyn SharedRead> {
-        Some(self)
-    }
-}
-
-impl SharedRead for MemoryEngine {
     fn get(&self, key: &[u8], read_version: u64) -> Option<Vec<u8>> {
-        MemoryEngine::get(self, key, read_version)
+        visible_at(self.map.get(key)?, read_version).cloned()
     }
 
+    /// Both directions stream straight off the `BTreeMap` range iterator.
     fn range(
         &self,
         begin: &[u8],
@@ -248,11 +104,36 @@ impl SharedRead for MemoryEngine {
         read_version: u64,
         reverse: bool,
     ) -> Vec<(Vec<u8>, Vec<u8>)> {
-        MemoryEngine::range(self, begin, end, read_version, reverse)
+        let iter = self
+            .map
+            .range::<[u8], _>((Bound::Included(begin), Bound::Excluded(end)));
+        let visible = move |(k, versions): (&Vec<u8>, &Vec<VersionedValue>)| {
+            visible_at(versions, read_version).map(|val| (k.clone(), val.clone()))
+        };
+        if reverse {
+            iter.rev().filter_map(visible).collect()
+        } else {
+            iter.filter_map(visible).collect()
+        }
+    }
+
+    fn last_version(&self) -> u64 {
+        self.last_version
     }
 
     fn live_key_count(&self, read_version: u64) -> usize {
-        MemoryEngine::live_key_count(self, read_version)
+        self.map
+            .values()
+            .filter(|versions| visible_at(versions, read_version).is_some())
+            .count()
+    }
+
+    fn total_version_entries(&self) -> usize {
+        self.map.values().map(Vec::len).sum()
+    }
+
+    fn describe(&self) -> String {
+        format!("memory(keys={})", self.map.len())
     }
 }
 
@@ -322,21 +203,6 @@ mod tests {
         assert_eq!(keys, vec![b"a".to_vec(), b"d".to_vec()]);
         // Old readers still see everything.
         assert_eq!(s.range(b"a", b"z", 15, false).len(), 4);
-    }
-
-    #[test]
-    fn last_less_and_nth_after() {
-        let mut s = MemoryEngine::new();
-        for k in [b"b", b"d", b"f"] {
-            s.write(k.to_vec(), Some(b"v".to_vec()), 10);
-        }
-        assert_eq!(s.last_less(b"d", false, 20), Some(b"b".to_vec()));
-        assert_eq!(s.last_less(b"d", true, 20), Some(b"d".to_vec()));
-        assert_eq!(s.last_less(b"a", false, 20), None);
-        assert_eq!(s.nth_after(Some(b"b"), 1, 20), Some(b"d".to_vec()));
-        assert_eq!(s.nth_after(Some(b"b"), 2, 20), Some(b"f".to_vec()));
-        assert_eq!(s.nth_after(None, 1, 20), Some(b"b".to_vec()));
-        assert_eq!(s.nth_after(Some(b"f"), 1, 20), None);
     }
 
     #[test]

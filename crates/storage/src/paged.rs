@@ -14,12 +14,26 @@
 //! because the on-disk meta root still points at the last checkpoint's
 //! tree — shadow paging guarantees eviction can never damage it.
 //!
+//! ## Read path
+//!
+//! Even a point read moves buffer-pool state: a miss loads a page and may
+//! evict another, and a hit updates the eviction policy. The pool
+//! therefore sits behind one engine-private mutex, the *pool latch*.
+//! `&self` reads lock it for the length of one read; `&mut self` methods
+//! already exclude every reader and reach the pool through
+//! [`Mutex::get_mut`] without locking. Readers of this engine take turns
+//! on the latch, while the database's store lock is held shared. The latch
+//! is a leaf: nothing else is acquired while it is held.
+//!
 //! ## Recovery
 //!
-//! Open loads the newest valid meta slot (tree root + WAL offset), then
-//! replays committed WAL frames from that offset, truncating any torn
-//! tail. A batch that never got its commit frame vanishes entirely, which
-//! is exactly the transaction-atomicity contract the database expects.
+//! Open loads the newest valid meta slot (tree root, WAL offset, last
+//! applied version), then replays committed WAL frames from that offset,
+//! truncating any torn tail. A batch that never got its commit frame
+//! vanishes entirely, which is exactly the transaction-atomicity contract
+//! the database expects. The newest version among the meta slot and the
+//! replayed frames becomes [`StorageEngine::last_version`], from which a
+//! reopened database resumes its commit versions.
 //!
 //! The simulator equates "crash" with "process stopped", so no fsync is
 //! issued; the *ordering* points (checkpoint = flush pages, then meta,
@@ -28,6 +42,7 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::btree::{self, chain_prune, chain_push, chain_visible_at, Chain, Cursor};
 use crate::engine::{EvictionPolicy, StorageEngine};
@@ -41,12 +56,15 @@ const WAL_CHECKPOINT_BYTES: u64 = 1 << 20;
 /// Disk-backed MVCC storage engine.
 #[derive(Debug)]
 pub struct PagedEngine {
-    pool: BufferPool,
+    /// The pool latch (see the module docs).
+    pool: Mutex<BufferPool>,
     wal: Wal,
     counters: SharedIoCounters,
     policy: EvictionPolicy,
     pool_pages: usize,
     dir: PathBuf,
+    /// Newest version applied so far, persisted at each checkpoint.
+    last_version: u64,
 }
 
 impl PagedEngine {
@@ -63,7 +81,8 @@ impl PagedEngine {
         let pool = BufferPool::open(&dir.join("pages.db"), pool_pages, policy, counters.clone())?;
         let wal = Wal::open(&dir.join("wal.log"))?;
         let mut engine = PagedEngine {
-            pool,
+            last_version: pool.checkpoint_version(),
+            pool: Mutex::new(pool),
             wal,
             counters,
             policy,
@@ -75,7 +94,7 @@ impl PagedEngine {
     }
 
     fn recover(&mut self) -> io::Result<()> {
-        let lsn = self.pool.checkpoint_lsn();
+        let lsn = self.pool_mut().checkpoint_lsn();
         let batches = self.wal.replay_from(lsn)?;
         if batches.is_empty() {
             return Ok(());
@@ -98,7 +117,7 @@ impl PagedEngine {
         }
         // Fold the replayed tail into a fresh checkpoint so the next open
         // starts clean.
-        self.pool.checkpoint(self.wal.len())
+        self.checkpoint(self.wal.len())
     }
 
     /// Tear down without running the destructor's checkpoint — the on-disk
@@ -111,21 +130,43 @@ impl PagedEngine {
 
     /// Structural self-check; returns the number of keys in the tree.
     pub fn check_consistency(&mut self) -> io::Result<usize> {
-        btree::check_consistency(&mut self.pool)
+        btree::check_consistency(self.pool_mut())
+    }
+
+    /// Lock the pool latch for a read. Poison is recovered from, as
+    /// `rl_fdb::sync::lock` does: a read changes which pages are resident,
+    /// never the tree's content, so a reader that panicked leaves nothing
+    /// half-written behind.
+    fn pool(&self) -> MutexGuard<'_, BufferPool> {
+        self.pool.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The pool, for a caller that already excludes every reader.
+    fn pool_mut(&mut self) -> &mut BufferPool {
+        self.pool.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn checkpoint(&mut self, lsn: u64) -> io::Result<()> {
+        let last_version = self.last_version;
+        self.pool_mut().checkpoint(lsn, last_version)
     }
 
     fn apply_write(&mut self, key: &[u8], value: Option<Vec<u8>>, version: u64) -> io::Result<()> {
-        let mut chain = btree::get_chain(&mut self.pool, key)?.unwrap_or_default();
+        self.last_version = self.last_version.max(version);
+        let pool = self.pool_mut();
+        let mut chain = btree::get_chain(pool, key)?.unwrap_or_default();
         chain_push(&mut chain, version, value);
-        btree::put_chain(&mut self.pool, key, &chain)
+        btree::put_chain(pool, key, &chain)
     }
 
     fn apply_clear_range(&mut self, begin: &[u8], end: &[u8], version: u64) -> io::Result<()> {
+        self.last_version = self.last_version.max(version);
+        let pool = self.pool_mut();
         // Tombstone keys whose newest chain entry is a live value —
         // mirroring the in-memory engine exactly.
         let mut doomed: Vec<(Vec<u8>, Chain)> = Vec::new();
-        let mut cursor = Cursor::forward_from(&mut self.pool, begin)?;
-        while let Some((key, chain)) = cursor.next(&mut self.pool)? {
+        let mut cursor = Cursor::forward_from(pool, begin)?;
+        while let Some((key, chain)) = cursor.next(pool)? {
             if key.as_slice() >= end {
                 break;
             }
@@ -135,7 +176,7 @@ impl PagedEngine {
         }
         for (key, mut chain) in doomed {
             chain_push(&mut chain, version, None);
-            btree::put_chain(&mut self.pool, &key, &chain)?;
+            btree::put_chain(pool, &key, &chain)?;
         }
         Ok(())
     }
@@ -150,33 +191,34 @@ impl PagedEngine {
 
     /// Checkpoint the tree and truncate the superseded WAL.
     fn try_flush(&mut self) -> io::Result<()> {
-        self.pool.checkpoint(self.wal.len())?;
+        self.checkpoint(self.wal.len())?;
         if !self.wal.is_empty() {
             // Order matters: truncate first, then record lsn=0. A crash in
             // between leaves meta pointing past the (empty) log, which
             // recovery treats as "nothing to replay".
             self.wal.truncate()?;
-            self.pool.checkpoint(0)?;
+            self.checkpoint(0)?;
         }
         Ok(())
     }
 
-    fn try_get(&mut self, key: &[u8], read_version: u64) -> io::Result<Option<Vec<u8>>> {
-        Ok(btree::get_chain(&mut self.pool, key)?
+    fn try_get(&self, key: &[u8], read_version: u64) -> io::Result<Option<Vec<u8>>> {
+        Ok(btree::get_chain(&mut self.pool(), key)?
             .and_then(|chain| chain_visible_at(&chain, read_version).map(<[u8]>::to_vec)))
     }
 
     fn try_range(
-        &mut self,
+        &self,
         begin: &[u8],
         end: &[u8],
         read_version: u64,
         reverse: bool,
     ) -> io::Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        let pool = &mut *self.pool();
         let mut out = Vec::new();
         if reverse {
-            let mut cursor = Cursor::backward_from(&mut self.pool, end)?;
-            while let Some((key, chain)) = cursor.next(&mut self.pool)? {
+            let mut cursor = Cursor::backward_from(pool, end)?;
+            while let Some((key, chain)) = cursor.next(pool)? {
                 if key.as_slice() < begin {
                     break;
                 }
@@ -185,8 +227,8 @@ impl PagedEngine {
                 }
             }
         } else {
-            let mut cursor = Cursor::forward_from(&mut self.pool, begin)?;
-            while let Some((key, chain)) = cursor.next(&mut self.pool)? {
+            let mut cursor = Cursor::forward_from(pool, begin)?;
+            while let Some((key, chain)) = cursor.next(pool)? {
                 if key.as_slice() >= end {
                     break;
                 }
@@ -198,66 +240,16 @@ impl PagedEngine {
         Ok(out)
     }
 
-    fn try_last_less(
-        &mut self,
-        key: &[u8],
-        or_equal: bool,
-        read_version: u64,
-    ) -> io::Result<Option<Vec<u8>>> {
-        // `<= key` is `< successor(key)`: appending 0x00 forms the smallest
-        // key strictly greater, so the exclusive bound includes `key`.
-        let bound: Vec<u8> = if or_equal {
-            let mut b = key.to_vec();
-            b.push(0);
-            b
-        } else {
-            key.to_vec()
-        };
-        let mut cursor = Cursor::backward_from(&mut self.pool, &bound)?;
-        while let Some((k, chain)) = cursor.next(&mut self.pool)? {
-            if chain_visible_at(&chain, read_version).is_some() {
-                return Ok(Some(k));
-            }
-        }
-        Ok(None)
-    }
-
-    fn try_nth_after(
-        &mut self,
-        anchor: Option<&[u8]>,
-        n: usize,
-        read_version: u64,
-    ) -> io::Result<Option<Vec<u8>>> {
-        let begin: Vec<u8> = match anchor {
-            Some(a) => {
-                let mut b = a.to_vec();
-                b.push(0); // strictly after the anchor
-                b
-            }
-            None => Vec::new(),
-        };
-        let mut cursor = Cursor::forward_from(&mut self.pool, &begin)?;
-        let mut remaining = n;
-        while let Some((key, chain)) = cursor.next(&mut self.pool)? {
-            if chain_visible_at(&chain, read_version).is_some() {
-                remaining -= 1;
-                if remaining == 0 {
-                    return Ok(Some(key));
-                }
-            }
-        }
-        Ok(None)
-    }
-
     fn try_compact(&mut self, oldest_version: u64) -> io::Result<()> {
+        let pool = self.pool_mut();
         // Scan first, mutate after: the cursor must not race tree updates.
         // Compaction is deliberately NOT logged — replaying a WAL without
         // it yields the same visible state for every read version still in
         // the MVCC window.
         let mut removals: Vec<Vec<u8>> = Vec::new();
         let mut updates: Vec<(Vec<u8>, Chain)> = Vec::new();
-        let mut cursor = Cursor::forward_from(&mut self.pool, b"")?;
-        while let Some((key, chain)) = cursor.next(&mut self.pool)? {
+        let mut cursor = Cursor::forward_from(pool, b"")?;
+        while let Some((key, chain)) = cursor.next(pool)? {
             match chain_prune(&chain, oldest_version) {
                 None => removals.push(key),
                 Some(pruned) => {
@@ -268,23 +260,23 @@ impl PagedEngine {
             }
         }
         for (key, chain) in updates {
-            btree::put_chain(&mut self.pool, &key, &chain)?;
+            btree::put_chain(pool, &key, &chain)?;
         }
         for key in removals {
-            btree::remove_key(&mut self.pool, &key)?;
+            btree::remove_key(pool, &key)?;
         }
         Ok(())
     }
 
-    fn scan_stats(&mut self) -> io::Result<(usize, usize)> {
-        let mut keys = 0usize;
-        let mut entries = 0usize;
-        let mut cursor = Cursor::forward_from(&mut self.pool, b"")?;
-        while let Some((_, chain)) = cursor.next(&mut self.pool)? {
-            keys += 1;
-            entries += chain.len();
+    /// Fold `f` over every key's version chain, in key order.
+    fn try_fold_chains<T>(&self, init: T, mut f: impl FnMut(T, &Chain) -> T) -> io::Result<T> {
+        let pool = &mut *self.pool();
+        let mut acc = init;
+        let mut cursor = Cursor::forward_from(pool, b"")?;
+        while let Some((_, chain)) = cursor.next(pool)? {
+            acc = f(acc, &chain);
         }
-        Ok((keys, entries))
+        Ok(acc)
     }
 }
 
@@ -297,7 +289,7 @@ impl Drop for PagedEngine {
             self.wal.discard_pending();
             return;
         }
-        let _ = self.pool.checkpoint(self.wal.len());
+        let _ = self.checkpoint(self.wal.len());
     }
 }
 
@@ -326,12 +318,20 @@ impl StorageEngine for PagedEngine {
         self.try_commit_batch().expect(IO_MSG);
     }
 
-    fn get(&mut self, key: &[u8], read_version: u64) -> Option<Vec<u8>> {
+    fn compact(&mut self, oldest_version: u64) {
+        self.try_compact(oldest_version).expect(IO_MSG);
+    }
+
+    fn flush(&mut self) {
+        self.try_flush().expect(IO_MSG);
+    }
+
+    fn get(&self, key: &[u8], read_version: u64) -> Option<Vec<u8>> {
         self.try_get(key, read_version).expect(IO_MSG)
     }
 
     fn range(
-        &mut self,
+        &self,
         begin: &[u8],
         end: &[u8],
         read_version: u64,
@@ -341,36 +341,20 @@ impl StorageEngine for PagedEngine {
             .expect(IO_MSG)
     }
 
-    fn last_less(&mut self, key: &[u8], or_equal: bool, read_version: u64) -> Option<Vec<u8>> {
-        self.try_last_less(key, or_equal, read_version)
+    fn last_version(&self) -> u64 {
+        self.last_version
+    }
+
+    fn live_key_count(&self, read_version: u64) -> usize {
+        self.try_fold_chains(0, |n, chain| {
+            n + usize::from(chain_visible_at(chain, read_version).is_some())
+        })
+        .expect(IO_MSG)
+    }
+
+    fn total_version_entries(&self) -> usize {
+        self.try_fold_chains(0, |n, chain| n + chain.len())
             .expect(IO_MSG)
-    }
-
-    fn nth_after(&mut self, anchor: Option<&[u8]>, n: usize, read_version: u64) -> Option<Vec<u8>> {
-        self.try_nth_after(anchor, n, read_version).expect(IO_MSG)
-    }
-
-    fn compact(&mut self, oldest_version: u64) {
-        self.try_compact(oldest_version).expect(IO_MSG);
-    }
-
-    fn flush(&mut self) {
-        self.try_flush().expect(IO_MSG);
-    }
-
-    fn live_key_count(&mut self, read_version: u64) -> usize {
-        let mut count = 0usize;
-        let mut cursor = Cursor::forward_from(&mut self.pool, b"").expect(IO_MSG);
-        while let Some((_, chain)) = cursor.next(&mut self.pool).expect(IO_MSG) {
-            if chain_visible_at(&chain, read_version).is_some() {
-                count += 1;
-            }
-        }
-        count
-    }
-
-    fn total_version_entries(&mut self) -> usize {
-        self.scan_stats().expect(IO_MSG).1
     }
 
     fn describe(&self) -> String {
@@ -379,7 +363,7 @@ impl StorageEngine for PagedEngine {
             self.dir.display(),
             self.pool_pages,
             self.policy.name(),
-            self.pool.page_count(),
+            self.pool().page_count(),
             self.wal.len(),
         )
     }
@@ -461,6 +445,61 @@ mod tests {
     }
 
     #[test]
+    fn reopen_restores_last_version() {
+        let d = dir("lastversion");
+        {
+            let mut e = open(&d, 32);
+            e.write(b"k".to_vec(), Some(b"v".to_vec()), 10);
+            e.write(b"k".to_vec(), None, 40);
+            e.commit_batch();
+            // Compaction drops the only entries that carried version 40.
+            e.compact(50);
+            assert_eq!(e.total_version_entries(), 0);
+        } // Drop checkpoints: the version comes back from the meta slot.
+        let mut e = open(&d, 32);
+        assert_eq!(e.last_version(), 40);
+        e.write(b"j".to_vec(), Some(b"v".to_vec()), 70);
+        e.commit_batch();
+        e.simulate_crash();
+        // After a crash it comes back from the replayed WAL frame.
+        let e = open(&d, 32);
+        assert_eq!(e.last_version(), 70);
+        drop(e);
+        std::fs::remove_dir_all(&d).unwrap();
+    }
+
+    #[test]
+    fn readers_share_the_engine() {
+        let d = dir("readers");
+        // A tiny pool, so concurrent readers keep evicting each other's
+        // pages under the pool latch.
+        let mut e = open(&d, 4);
+        for i in 0..200u32 {
+            e.write(
+                format!("k{i:04}").into_bytes(),
+                Some(vec![i as u8; 100]),
+                10,
+            );
+        }
+        e.commit_batch();
+        std::thread::scope(|s| {
+            for t in 0..4u32 {
+                let e = &e;
+                s.spawn(move || {
+                    for i in (t..200).step_by(4) {
+                        let key = format!("k{i:04}");
+                        assert_eq!(e.get(key.as_bytes(), 10), Some(vec![i as u8; 100]));
+                    }
+                    assert_eq!(e.range(b"k", b"l", 10, t % 2 == 0).len(), 200);
+                });
+            }
+        });
+        e.check_consistency().unwrap();
+        drop(e);
+        std::fs::remove_dir_all(&d).unwrap();
+    }
+
+    #[test]
     fn one_commit_batch_seals_many_transactions_in_one_frame() {
         // The group-commit contract: several transactions' writes (here,
         // at distinct versions) buffered between commit_batch calls land
@@ -482,7 +521,7 @@ mod tests {
         assert_eq!(counters.snapshot().log_appends - before, 1);
         // And the whole batch is atomic across a crash+reopen.
         e.simulate_crash();
-        let mut e = open(&d, 32);
+        let e = open(&d, 32);
         assert_eq!(e.live_key_count(100), 32);
         std::fs::remove_dir_all(&d).unwrap();
     }

@@ -86,6 +86,11 @@ impl BufferPool {
         self.file.checkpoint_lsn()
     }
 
+    /// Newest version applied to the last durable checkpoint.
+    pub fn checkpoint_version(&self) -> u64 {
+        self.file.last_version()
+    }
+
     pub fn page_count(&self) -> u32 {
         self.file.page_count()
     }
@@ -148,15 +153,16 @@ impl BufferPool {
     }
 
     /// Flush every dirty frame and commit a new metadata generation that
-    /// makes the current root durable, covering the WAL up to `lsn`. After
-    /// the meta write the previous tree's pages become reusable.
-    pub fn checkpoint(&mut self, lsn: u64) -> io::Result<()> {
+    /// makes the current root durable, covering the WAL up to `lsn` and
+    /// versions up to `last_version`. After the meta write the previous
+    /// tree's pages become reusable.
+    pub fn checkpoint(&mut self, lsn: u64, last_version: u64) -> io::Result<()> {
         for idx in 0..self.frames.len() {
             if self.frames[idx].dirty {
                 self.flush_frame(idx)?;
             }
         }
-        self.file.commit_meta(self.root, lsn)?;
+        self.file.commit_meta(self.root, lsn, last_version)?;
         for id in std::mem::take(&mut self.pending_free) {
             self.file.free_now(id);
         }
@@ -271,7 +277,7 @@ mod tests {
         let (mut pool, dir) = pool("cow", 8, EvictionPolicy::Clock);
         let id = pool.allocate(b"original".to_vec()).unwrap();
         pool.set_root(id);
-        pool.checkpoint(0).unwrap();
+        pool.checkpoint(0, 0).unwrap();
         // Page is now checkpoint-epoch: a rewrite must go elsewhere.
         let new_id = pool.write_cow(id, b"updated".to_vec()).unwrap();
         assert_ne!(new_id, id);
@@ -288,13 +294,13 @@ mod tests {
         let (mut pool, dir) = pool("pending", 8, EvictionPolicy::Sieve);
         let id = pool.allocate(b"a".to_vec()).unwrap();
         pool.set_root(id);
-        pool.checkpoint(0).unwrap();
+        pool.checkpoint(0, 0).unwrap();
         pool.free(id);
         // Not reusable yet: a new allocation must get a different id.
         let b = pool.allocate(b"b".to_vec()).unwrap();
         assert_ne!(b, id);
         pool.set_root(b);
-        pool.checkpoint(0).unwrap();
+        pool.checkpoint(0, 0).unwrap();
         let c = pool.allocate(b"c".to_vec()).unwrap();
         assert_eq!(c, id, "old page reusable after the next checkpoint");
         std::fs::remove_dir_all(dir).unwrap();

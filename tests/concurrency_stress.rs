@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use rl_bench::rng::{Rng, XorShift64};
-use rl_fdb::{Database, Error};
+use rl_fdb::{Database, DatabaseOptions, EngineKind, Error, EvictionPolicy, PagedConfig};
 
 const PAIRS: usize = 24;
 const WRITERS: usize = 6;
@@ -154,17 +154,29 @@ fn stress(db: &Database, seed: u64) {
     }
 }
 
-/// The suite honours `RL_ENGINE` like every other integration test, so
-/// the paged-engine CI leg and the TSan job run this against both
-/// engines.
+/// Run one seed on each engine. The engines are chosen here rather than
+/// through `RL_ENGINE`, so every run of this suite, the ThreadSanitizer
+/// job included, drives concurrent readers through both the in-memory
+/// engine and the paged engine's pool latch.
+fn stress_both_engines(seed: u64) {
+    for engine in [
+        EngineKind::InMemory,
+        EngineKind::Paged(PagedConfig::ephemeral(EvictionPolicy::default())),
+    ] {
+        let db = Database::with_options(DatabaseOptions {
+            engine,
+            ..DatabaseOptions::default()
+        });
+        stress(&db, seed);
+    }
+}
+
 #[test]
 fn randomized_writers_and_readers_preserve_snapshot_isolation() {
-    let db = Database::new();
-    stress(&db, 0xC0FFEE);
+    stress_both_engines(0xC0FFEE);
 }
 
 #[test]
 fn randomized_stress_holds_on_a_second_seed() {
-    let db = Database::new();
-    stress(&db, 9_118_724_463);
+    stress_both_engines(9_118_724_463);
 }

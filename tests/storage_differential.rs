@@ -1,12 +1,11 @@
 //! Differential property test: the disk-backed paged engine must be
-//! observationally identical to the in-memory engine (the original
-//! `VersionedStore`, kept as the oracle).
+//! observationally identical to the in-memory engine (the simulator's
+//! original MVCC store, kept as the oracle).
 //!
 //! Every case drives a randomized MVCC workload — writes, tombstones,
 //! range clears, batch commits, compactions — through both engines and
-//! interleaves randomized reads (gets, forward/reverse ranges, and the
-//! key-selector primitives `last_less`/`nth_after`) at random read
-//! versions, comparing results op by op. Pool sizes are drawn small enough
+//! interleaves randomized reads (gets and forward/reverse ranges) at
+//! random read versions, comparing results op by op. Pool sizes are drawn small enough
 //! that eviction, overflow chains, and copy-on-write splits are all hit
 //! constantly.
 //!
@@ -109,20 +108,20 @@ fn paged_engine_matches_memory_oracle() {
         let mut oldest = 0u64;
         let ops = rng.gen_range(20..80u32);
         for _ in 0..ops {
-            match rng.gen_range(0..10u32) {
+            match rng.gen_range(0..9u32) {
                 // Mutations (applied to both engines identically).
                 0..=3 => {
                     version += u64::from(rng.gen_range(1..3u32));
                     let key = arb_key(rng);
                     let value = (rng.gen_range(0..4u32) != 0).then(|| arb_value(rng));
                     memory.write(key.clone(), value.clone(), version);
-                    StorageEngine::write(&mut paged, key, value, version);
+                    paged.write(key, value, version);
                 }
                 4 => {
                     version += 1;
                     let (a, b) = arb_bounds(rng);
                     memory.clear_range(&a, &b, version);
-                    StorageEngine::clear_range(&mut paged, &a, &b, version);
+                    paged.clear_range(&a, &b, version);
                 }
                 5 => {
                     memory.commit_batch();
@@ -133,7 +132,7 @@ fn paged_engine_matches_memory_oracle() {
                     // horizon are comparable, so advance `oldest`.
                     oldest = rng.gen_range(oldest..=version);
                     memory.compact(oldest);
-                    StorageEngine::compact(&mut paged, oldest);
+                    paged.compact(oldest);
                 }
                 // Reads at a random still-valid read version.
                 7 => {
@@ -141,35 +140,18 @@ fn paged_engine_matches_memory_oracle() {
                     let key = arb_key(rng);
                     assert_eq!(
                         memory.get(&key, rv),
-                        StorageEngine::get(&mut paged, &key, rv),
+                        paged.get(&key, rv),
                         "get({key:?}, rv={rv})"
                     );
                 }
-                8 => {
+                _ => {
                     let rv = rng.gen_range(oldest..=version.max(oldest));
                     let (a, b) = arb_bounds(rng);
                     let reverse = rng.gen_range(0..2u32) == 1;
                     assert_eq!(
                         memory.range(&a, &b, rv, reverse),
-                        StorageEngine::range(&mut paged, &a, &b, rv, reverse),
+                        paged.range(&a, &b, rv, reverse),
                         "range(rv={rv}, reverse={reverse})"
-                    );
-                }
-                _ => {
-                    let rv = rng.gen_range(oldest..=version.max(oldest));
-                    let key = arb_key(rng);
-                    let or_equal = rng.gen_range(0..2u32) == 1;
-                    assert_eq!(
-                        memory.last_less(&key, or_equal, rv),
-                        StorageEngine::last_less(&mut paged, &key, or_equal, rv),
-                        "last_less(or_equal={or_equal}, rv={rv})"
-                    );
-                    let anchor = (rng.gen_range(0..2u32) == 1).then(|| arb_key(rng));
-                    let nth = rng.gen_range(1..4usize);
-                    assert_eq!(
-                        memory.nth_after(anchor.as_deref(), nth, rv),
-                        StorageEngine::nth_after(&mut paged, anchor.as_deref(), nth, rv),
-                        "nth_after(n={nth}, rv={rv})"
                     );
                 }
             }
@@ -178,21 +160,19 @@ fn paged_engine_matches_memory_oracle() {
         // Closing sweep: aggregates agree, full keyspace agrees both ways,
         // and the on-disk tree is structurally sound.
         let rv = version.max(oldest);
-        assert_eq!(
-            memory.live_key_count(rv),
-            StorageEngine::live_key_count(&mut paged, rv)
-        );
+        assert_eq!(memory.live_key_count(rv), paged.live_key_count(rv));
         assert_eq!(
             memory.total_version_entries(),
-            StorageEngine::total_version_entries(&mut paged)
+            paged.total_version_entries()
         );
+        assert_eq!(memory.last_version(), paged.last_version());
         assert_eq!(
             memory.range(b"", &[0xFF], rv, false),
-            StorageEngine::range(&mut paged, b"", &[0xFF], rv, false)
+            paged.range(b"", &[0xFF], rv, false)
         );
         assert_eq!(
             memory.range(b"", &[0xFF], rv, true),
-            StorageEngine::range(&mut paged, b"", &[0xFF], rv, true)
+            paged.range(b"", &[0xFF], rv, true)
         );
         paged.check_consistency().expect("tree consistency");
 
