@@ -184,6 +184,15 @@ pub fn split_versionstamp_operand(data: &[u8]) -> Result<(Vec<u8>, usize)> {
     Ok((payload.to_vec(), offset))
 }
 
+/// The 10 transaction-version bytes of a commit at `commit_version`: the
+/// version big-endian, then a batch order of 0 (each commit is sealed on
+/// its own, so no two commits share a version).
+pub fn transaction_version(commit_version: u64) -> [u8; TR_VERSION_LEN] {
+    let mut out = [0u8; TR_VERSION_LEN];
+    out[..8].copy_from_slice(&commit_version.to_be_bytes());
+    out
+}
+
 /// Fill the 10 transaction-version bytes into `payload` at `offset`.
 pub fn fill_versionstamp(payload: &mut [u8], offset: usize, tr_version: &[u8]) {
     payload[offset..offset + TR_VERSION_LEN].copy_from_slice(tr_version);

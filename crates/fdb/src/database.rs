@@ -1,53 +1,46 @@
 //! The database: commit pipeline, conflict detection, MVCC window
-//! management, logical clock, and read-version caching.
+//! management, and the logical clock.
 //!
 //! ## Parallel commit pipeline
 //!
 //! The original simulator funnelled every read and commit through one
-//! `Arc<Mutex<Inner>>`. That global lock is now torn into four pieces,
-//! each with its own [`LockRank`]:
+//! `Arc<Mutex<Inner>>`. That global lock is now two kinds of lock, each
+//! with its own [`LockRank`]:
 //!
 //! * **Conflict shards** (`shards`, [`LockRank::ConflictShard`]) — the
 //!   recent-writes window is sharded by key range ([`CONFLICT_SHARDS`]
 //!   shards, keyed on the first two key bytes). A committing transaction
 //!   locks only the shards its conflict ranges touch, in ascending shard
-//!   order, so commits over disjoint key spaces validate and apply in
-//!   parallel.
-//! * **Group-commit batcher** (`batcher`, [`LockRank::CommitBatch`]) —
-//!   concurrent committers that passed validation enqueue their command
-//!   logs; one becomes the *leader* and applies the whole batch with a
-//!   single version allocation and (on the paged engine) a single WAL
-//!   frame. Followers park on a condvar and collect their receipts.
-//! * **Version core** (`core`, [`LockRank::VersionCore`]) — version
-//!   allocation and compaction bookkeeping; a short critical section only
-//!   the batch leader enters.
+//!   order, so commits over disjoint key spaces validate in parallel.
 //! * **Store** (`store`, [`LockRank::DatabaseStore`]) — the storage
 //!   engine behind an `RwLock`. [`StorageEngine`] reads take `&self`, so
-//!   MVCC snapshot reads run under the shared lock on every engine, and
-//!   only a batch leader's apply takes it exclusively. Whatever state a
-//!   read touches inside the engine (the paged engine's buffer pool) is
-//!   the engine's to latch.
+//!   MVCC snapshot reads run under the shared lock on every engine. A
+//!   validated commit takes it exclusively once: it allocates the commit
+//!   version, applies its writes, seals them with one
+//!   [`StorageEngine::commit_batch`] (one WAL frame on the paged engine)
+//!   and publishes the version. Whatever state a read touches inside the
+//!   engine (the paged engine's buffer pool) is the engine's to latch.
 //!
 //! A database opened over a paged engine directory resumes above the
 //! engine's recovered [`StorageEngine::last_version`], so recovered data
 //! is visible at once and commit versions never run backwards.
 //!
-//! `last_commit_version` and `oldest_version` are additionally published
-//! as atomics (after the store apply, so a GRV can never hand out a
-//! version the store has not materialized), making `getReadVersion`
-//! entirely lock-free.
+//! `last_commit_version` and `oldest_version` are atomics that change
+//! only under the exclusive store lock, after the writes have landed, so
+//! a GRV can never hand out a version the store has not materialized and
+//! `getReadVersion` is entirely lock-free.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 use rl_storage::{EvictionPolicy, MemoryEngine, PagedEngine, SharedIoCounters, StorageEngine};
 
 use crate::atomic;
 use crate::error::{Error, Result};
 use crate::metrics::{Metrics, SharedMetrics};
-use crate::sync::{lock_ranked, lock_ranked_indexed, read_ranked, write_ranked, LockRank};
+use crate::sync::{lock_ranked_indexed, read_ranked, write_ranked, LockRank};
 use crate::transaction::{Command, Transaction};
 
 /// FoundationDB's documented key size limit (10 kB).
@@ -265,11 +258,13 @@ struct ConflictShard {
     window: VecDeque<CommittedWrites>,
 }
 
-/// The storage engine plus its cleanup obligation, behind the store
-/// `RwLock`.
+/// The storage engine plus its compaction counter and cleanup
+/// obligation, behind the store `RwLock`.
 #[derive(Debug)]
 struct Store {
     engine: Box<dyn StorageEngine>,
+    /// Commits applied since the last MVCC compaction.
+    commits_since_compaction: u64,
     /// Directory to delete once the engine has shut down (ephemeral paged
     /// engines only).
     cleanup_dir: Option<PathBuf>,
@@ -286,62 +281,19 @@ impl Drop for Store {
     }
 }
 
-/// Version allocation + compaction bookkeeping: the short critical
-/// section only a batch leader enters.
-#[derive(Debug, Default)]
-struct VersionCore {
-    last_commit_version: u64,
-    commits_since_compaction: u64,
-}
-
-/// A committer's enqueued work: its command log, cloned so the follower
-/// can park without lending out its borrow.
-struct PendingCommit {
-    ticket: u64,
-    commands: Vec<Command>,
-}
-
-/// What a batch member gets back from the leader.
-#[derive(Debug, Clone, Copy)]
-struct CommitReceipt {
-    version: u64,
-    batch_order: u16,
-    keys_written: u64,
-    bytes_written: u64,
-}
-
-#[derive(Default)]
-struct BatchState {
-    queue: Vec<PendingCommit>,
-    /// A leader is currently applying a batch; newcomers queue behind it.
-    leader_active: bool,
-    next_ticket: u64,
-    /// Receipts published by the last leader, keyed by ticket.
-    results: Vec<(u64, Result<CommitReceipt>)>,
-}
-
-/// Group-commit rendezvous: queue + condvar the followers park on.
-#[derive(Default)]
-struct CommitBatcher {
-    state: Mutex<BatchState>,
-    done: Condvar,
-}
-
 /// Handle to a simulated FoundationDB cluster. Clone freely; all clones
 /// share state. Safe to use from multiple threads: snapshot reads run
-/// under a shared store lock, and commits over disjoint key shards
-/// validate and apply in parallel, batched through a group-commit leader.
+/// under a shared store lock, commits over disjoint key shards validate
+/// in parallel, and each validated commit applies under the exclusive
+/// store lock.
 #[derive(Clone)]
 pub struct Database {
     /// Recent-writes conflict index, sharded by key prefix.
     shards: Arc<[Mutex<ConflictShard>; CONFLICT_SHARDS]>,
-    /// Version allocation + compaction counters.
-    core: Arc<Mutex<VersionCore>>,
     /// The storage engine (shared reads / exclusive commits).
     store: Arc<RwLock<Store>>,
-    /// Group-commit batcher.
-    batcher: Arc<CommitBatcher>,
     /// Latest commit version the store has materialized (lock-free GRV).
+    /// Written only under the exclusive store lock.
     last_commit: Arc<AtomicU64>,
     /// Read versions below this fail with `transaction_too_old`.
     oldest: Arc<AtomicU64>,
@@ -349,10 +301,6 @@ pub struct Database {
     clock_ms: Arc<AtomicU64>,
     metrics: SharedMetrics,
     grv_calls: Arc<AtomicU64>,
-    /// Test-only: make the next batch leader panic inside
-    /// [`Self::lead_batch`], exercising the abdication-on-unwind path.
-    #[cfg(test)]
-    panic_next_batch: Arc<std::sync::atomic::AtomicBool>,
 }
 
 impl Database {
@@ -372,23 +320,17 @@ impl Database {
             shards: Arc::new(std::array::from_fn(
                 |_| Mutex::new(ConflictShard::default()),
             )),
-            core: Arc::new(Mutex::new(VersionCore {
-                last_commit_version: recovered,
-                commits_since_compaction: 0,
-            })),
             store: Arc::new(RwLock::new(Store {
                 engine,
+                commits_since_compaction: 0,
                 cleanup_dir,
             })),
-            batcher: Arc::new(CommitBatcher::default()),
             last_commit: Arc::new(AtomicU64::new(recovered)),
             oldest: Arc::new(AtomicU64::new(horizon)),
             options: Arc::new(options),
             clock_ms: Arc::new(AtomicU64::new(0)),
             metrics,
             grv_calls: Arc::new(AtomicU64::new(0)),
-            #[cfg(test)]
-            panic_next_batch: Arc::new(std::sync::atomic::AtomicBool::new(false)),
         }
     }
 
@@ -407,8 +349,8 @@ impl Database {
         &self.metrics
     }
 
-    /// Number of `getReadVersion` round-trips issued so far. The paper's
-    /// read-version caching (§4) exists to avoid these.
+    /// Number of `getReadVersion` calls issued so far (each transaction
+    /// from [`create_transaction`](Self::create_transaction) makes one).
     pub fn grv_call_count(&self) -> u64 {
         self.grv_calls.load(Ordering::Relaxed)
     }
@@ -431,7 +373,7 @@ impl Database {
     // ------------------------------------------------------- transactions
 
     /// Perform a `getReadVersion` (GRV): the latest commit version.
-    /// Lock-free — the version is published atomically after each batch
+    /// Lock-free — the version is published atomically after each commit
     /// lands in the store.
     pub fn get_read_version(&self) -> u64 {
         let _t = rl_obs::Timer::start("grv");
@@ -445,10 +387,11 @@ impl Database {
         Transaction::new(self.clone(), rv, self.clock_ms())
     }
 
-    /// Begin a transaction at a caller-supplied read version (used by the
-    /// Record Layer's read-version cache). Fails with `FutureVersion` if the
-    /// version has not been committed yet, or `TransactionTooOld` if it has
-    /// fallen out of the MVCC window.
+    /// Begin a transaction at a caller-supplied read version, like FDB's
+    /// `setReadVersion` (a client that cached a version reuses it without
+    /// a GRV). Fails with `FutureVersion` if the version has not been
+    /// committed yet, or `TransactionTooOld` if it has fallen out of the
+    /// MVCC window.
     pub fn create_transaction_at(&self, read_version: u64) -> Result<Transaction> {
         if read_version > self.last_commit.load(Ordering::Acquire) {
             return Err(Error::FutureVersion);
@@ -512,18 +455,16 @@ impl Database {
     /// recently committed writes, then apply its command log at a fresh
     /// commit version — FDB's resolver + proxy pipeline. Validation holds
     /// only the conflict shards the transaction touches (ascending order),
-    /// so disjoint commits proceed in parallel; application goes through
-    /// the group-commit batcher, which charges one version allocation and
-    /// one engine batch-seal per *batch* of concurrent committers.
-    /// Returns the commit version, the order within its batch, and the
-    /// keys/bytes written (per-transaction tracing).
+    /// so disjoint commits validate in parallel; application is one
+    /// [`Self::apply`] under the exclusive store lock. Returns the commit
+    /// version and the keys/bytes written (per-transaction tracing).
     pub(crate) fn commit_internal(
         &self,
         read_version: u64,
         read_conflicts: &[(Vec<u8>, Vec<u8>)],
         write_conflicts: &[(Vec<u8>, Vec<u8>)],
         commands: &[Command],
-    ) -> Result<(u64, u16, u64, u64)> {
+    ) -> Result<(u64, u64, u64)> {
         if read_version < self.oldest.load(Ordering::Acquire) {
             self.metrics.record_commit(false, false);
             return Err(Error::TransactionTooOld);
@@ -569,13 +510,11 @@ impl Database {
             }
         }
 
-        // Apply through the group-commit batcher. We still hold our shard
-        // locks, so no conflicting transaction can validate against a
-        // window that does not yet contain our writes — and every member
-        // of one batch is pairwise shard-disjoint by construction, which
-        // is what makes a shared commit version sound.
-        let receipt = match self.batched_apply(commands.to_vec()) {
-            Ok(receipt) => receipt,
+        // Apply while still holding our shard locks, so no conflicting
+        // transaction can validate against a window that does not yet
+        // contain our writes.
+        let (version, keys_written, bytes_written) = match self.apply(commands) {
+            Ok(applied) => applied,
             Err(e) => {
                 self.metrics.record_commit(false, false);
                 return Err(e);
@@ -596,170 +535,49 @@ impl Database {
                     shard.window.pop_front();
                 }
                 shard.window.push_back(CommittedWrites {
-                    version: receipt.version,
+                    version,
                     ranges: write_conflicts.to_vec(),
                 });
             }
         }
         drop(held);
 
-        self.metrics
-            .add_keys_written(receipt.keys_written, receipt.bytes_written);
+        self.metrics.add_keys_written(keys_written, bytes_written);
         self.metrics.record_commit(true, false);
-        Ok((
-            receipt.version,
-            receipt.batch_order,
-            receipt.keys_written,
-            receipt.bytes_written,
-        ))
+        Ok((version, keys_written, bytes_written))
     }
 
-    /// Group commit: enqueue this committer's command log; whoever finds
-    /// no leader active drains the queue and leads the batch, everyone
-    /// else parks until the leader publishes their receipt. Callers hold
-    /// their conflict-shard locks throughout, which the leader never
-    /// takes — the rank order ConflictShard < CommitBatch < VersionCore <
-    /// DatabaseStore keeps the whole rendezvous deadlock-free.
-    fn batched_apply(&self, commands: Vec<Command>) -> Result<CommitReceipt> {
-        let mut st = lock_ranked(&self.batcher.state, LockRank::CommitBatch);
-        let ticket = st.next_ticket;
-        st.next_ticket += 1;
-        st.queue.push(PendingCommit { ticket, commands });
-        loop {
-            if let Some(pos) = st.results.iter().position(|(t, _)| *t == ticket) {
-                return st.results.swap_remove(pos).1;
-            }
-            if !st.leader_active {
-                st.leader_active = true;
-                let batch = std::mem::take(&mut st.queue);
-                drop(st);
-                return self.lead_and_publish(ticket, batch);
-            }
-            st.wait_on(&self.batcher.done);
-        }
-    }
-
-    /// Leader path: apply the batch, then publish everyone's receipts and
-    /// hand leadership off. (Separate from [`Self::batched_apply`] so the
-    /// batcher lock is provably released before the leader re-acquires
-    /// it.)
-    ///
-    /// If the leader panics mid-batch (say a storage-engine bug while it
-    /// holds the store write lock), leadership is still handed back on
-    /// unwind and every parked follower gets a `CommitUnknownResult`
-    /// receipt — otherwise `leader_active` would stay set forever and
-    /// every later committer would park on the condvar indefinitely,
-    /// defeating the poison recovery `sync` promises.
-    fn lead_and_publish(&self, ticket: u64, batch: Vec<PendingCommit>) -> Result<CommitReceipt> {
-        /// Clears `leader_active` and fails the followers' commits if the
-        /// leader unwinds before publishing; disarmed on the normal path.
-        struct AbdicateOnUnwind<'a> {
-            batcher: &'a CommitBatcher,
-            follower_tickets: Vec<u64>,
-            armed: bool,
-        }
-        impl Drop for AbdicateOnUnwind<'_> {
-            fn drop(&mut self) {
-                if !self.armed {
-                    return;
-                }
-                let mut st = lock_ranked(&self.batcher.state, LockRank::CommitBatch);
-                st.leader_active = false;
-                for &t in &self.follower_tickets {
-                    st.results.push((t, Err(Error::CommitUnknownResult)));
-                }
-                drop(st);
-                self.batcher.done.notify_all();
-            }
-        }
-        // The leader's own caller observes the panic directly; publishing
-        // a receipt for it would leave an orphan in `results` forever.
-        let mut guard = AbdicateOnUnwind {
-            batcher: &self.batcher,
-            follower_tickets: batch
-                .iter()
-                .map(|p| p.ticket)
-                .filter(|t| *t != ticket)
-                .collect(),
-            armed: true,
-        };
-        let mut results = self.lead_batch(batch);
-        let own = results
-            .iter()
-            .position(|(t, _)| *t == ticket)
-            .expect("leader's own commit in batch");
-        let own = results.swap_remove(own).1;
-        guard.armed = false;
-        let mut st = lock_ranked(&self.batcher.state, LockRank::CommitBatch);
-        st.leader_active = false;
-        st.results.append(&mut results);
-        drop(st);
-        self.batcher.done.notify_all();
-        own
-    }
-
-    /// Apply a batch: one version allocation, every member's command log
-    /// at that version (distinguished by batch order), one engine batch
-    /// seal — i.e. one WAL frame on the paged engine — then publish the
-    /// version. Runs without the batcher lock; takes VersionCore then
-    /// DatabaseStore.
-    fn lead_batch(&self, batch: Vec<PendingCommit>) -> Vec<(u64, Result<CommitReceipt>)> {
-        // Assign the batch's commit version: strictly increasing, and at
-        // least the clock-implied version so versions track logical time.
-        let mut core = lock_ranked(&self.core, LockRank::VersionCore);
-        let clock_version = self.clock_ms() * VERSIONS_PER_MS;
-        let version = (core.last_commit_version + 1).max(clock_version);
-        core.last_commit_version = version;
-        core.commits_since_compaction += batch.len() as u64;
-        let compact_now = core.commits_since_compaction >= self.options.compaction_interval;
-        if compact_now {
-            core.commits_since_compaction = 0;
-        }
-        drop(core);
-
-        let horizon = version.saturating_sub(self.options.mvcc_window_versions);
+    /// Apply one command log at a fresh commit version. Operand errors
+    /// surface before the store lock is taken, so a failed commit leaves
+    /// nothing half-applied. Under the exclusive store lock: allocate the
+    /// version, apply the writes, seal them with one engine batch (one WAL
+    /// frame on the paged engine; a crash before the seal loses the whole
+    /// commit), then publish the version. Returns the version and the
+    /// keys/bytes written.
+    fn apply(&self, commands: &[Command]) -> Result<(u64, u64, u64)> {
+        validate_commands(commands)?;
         let mut store = write_ranked(&self.store, LockRank::DatabaseStore);
-        // Injected while the store write lock is held — the worst spot a
-        // real storage-engine bug could fire.
-        #[cfg(test)]
-        if self.panic_next_batch.swap(false, Ordering::AcqRel) {
-            panic!("injected leader failure");
-        }
-        let mut results = Vec::with_capacity(batch.len());
-        for (order, pending) in batch.into_iter().enumerate() {
-            let order = order as u16;
-            // Surface operand errors before any of this member's writes
-            // reach the store: with a shared batch version, a half-applied
-            // member would otherwise become visible when its batchmates
-            // publish.
-            let applied = validate_commands(&pending.commands).and_then(|()| {
-                apply_commands(store.engine.as_mut(), &pending.commands, version, order)
-            });
-            results.push((
-                pending.ticket,
-                applied.map(|(keys_written, bytes_written)| CommitReceipt {
-                    version,
-                    batch_order: order,
-                    keys_written,
-                    bytes_written,
-                }),
-            ));
-        }
-
-        // Seal the batch: a crash-safe engine persists everything above
-        // atomically (one WAL frame); a crash before this point loses the
-        // whole batch.
+        // Strictly increasing, and at least the clock-implied version so
+        // versions track logical time. `last_commit` changes only under
+        // this lock, so the read is exact.
+        let clock_version = self.clock_ms() * VERSIONS_PER_MS;
+        let version = (self.last_commit.load(Ordering::Acquire) + 1).max(clock_version);
+        let (keys_written, bytes_written) =
+            apply_commands(store.engine.as_mut(), commands, version)?;
         store.engine.commit_batch();
 
         // Publish only now, so a GRV can never hand out a version the
         // store has not fully materialized.
+        let horizon = version.saturating_sub(self.options.mvcc_window_versions);
         self.last_commit.store(version, Ordering::Release);
         self.oldest.fetch_max(horizon, Ordering::AcqRel);
-        if compact_now {
+        store.commits_since_compaction += 1;
+        if store.commits_since_compaction >= self.options.compaction_interval {
+            store.commits_since_compaction = 0;
             let oldest = self.oldest.load(Ordering::Acquire);
             store.engine.compact(oldest);
         }
-        results
+        Ok((version, keys_written, bytes_written))
     }
 
     /// Diagnostic: number of live keys at the latest version.
@@ -808,21 +626,15 @@ fn validate_commands(commands: &[Command]) -> Result<()> {
     Ok(())
 }
 
-/// Apply one member's command log at `version`, in program order, with
-/// versionstamps resolved to `version` ‖ `batch_order`. Returns the keys
-/// and bytes written.
+/// Apply a command log at `version`, in program order, with versionstamps
+/// resolved to [`atomic::transaction_version`]. Returns the keys and bytes
+/// written.
 fn apply_commands(
     store: &mut dyn StorageEngine,
     commands: &[Command],
     version: u64,
-    batch_order: u16,
 ) -> Result<(u64, u64)> {
-    let tr_version = {
-        let mut v = [0u8; 10];
-        v[0..8].copy_from_slice(&version.to_be_bytes());
-        v[8..10].copy_from_slice(&batch_order.to_be_bytes());
-        v
-    };
+    let tr_version = atomic::transaction_version(version);
     let mut keys_written = 0u64;
     let mut bytes_written = 0u64;
     for cmd in commands {
@@ -875,97 +687,6 @@ fn apply_commands(
 /// Half-open interval intersection.
 fn ranges_intersect(a1: &[u8], a2: &[u8], b1: &[u8], b2: &[u8]) -> bool {
     a1 < b2 && b1 < a2
-}
-
-/// Client-side read-version cache (§4: "Read version caching optimizes
-/// getReadVersion further by completely avoiding communication with
-/// FoundationDB if a read version was recently fetched").
-///
-/// Doubles as a GRV *batcher*: the cache lock is held across the
-/// staleness check and the refresh, so when N threads hit a stale cache
-/// at once, exactly one performs the `getReadVersion` and the rest reuse
-/// its result.
-#[derive(Default)]
-pub struct ReadVersionCache {
-    state: Mutex<Option<(u64, u64)>>, // (version, fetched_at_ticks)
-    /// Monotonic tick source for staleness. `None` uses the database's
-    /// logical clock; tests inject a counter to pin staleness decisions
-    /// independent of the database under test.
-    ticks: Option<Arc<dyn Fn() -> u64 + Send + Sync>>,
-}
-
-impl std::fmt::Debug for ReadVersionCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReadVersionCache")
-            .field("state", &self.state)
-            .field("has_tick_source", &self.ticks.is_some())
-            .finish()
-    }
-}
-
-impl ReadVersionCache {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A cache whose staleness clock is the given monotonic tick source
-    /// instead of the database's logical clock. Ticks are in the same
-    /// unit as `max_staleness_ms`.
-    pub fn with_tick_source(ticks: impl Fn() -> u64 + Send + Sync + 'static) -> Self {
-        ReadVersionCache {
-            state: Mutex::new(None),
-            ticks: Some(Arc::new(ticks)),
-        }
-    }
-
-    fn now_ticks(&self, db: &Database) -> u64 {
-        match &self.ticks {
-            Some(ticks) => ticks(),
-            None => db.clock_ms(),
-        }
-    }
-
-    /// Begin a transaction, reusing a cached read version when it is no
-    /// older than `max_staleness_ms` and at least `min_version` (the last
-    /// version previously observed by this client, so the client never goes
-    /// backwards in time). A stale cache triggers exactly one GRV even
-    /// under concurrency (the refresh happens under the cache lock; GRV
-    /// itself is lock-free, so nothing nests under this lock).
-    pub fn create_transaction(
-        &self,
-        db: &Database,
-        max_staleness_ms: u64,
-        min_version: u64,
-    ) -> Result<Transaction> {
-        let now = self.now_ticks(db);
-        let version = {
-            let mut st = lock_ranked(&self.state, LockRank::ReadVersionCache);
-            match *st {
-                Some((version, fetched_at))
-                    if now.saturating_sub(fetched_at) <= max_staleness_ms
-                        && version >= min_version =>
-                {
-                    version
-                }
-                _ => {
-                    let version = db.get_read_version();
-                    *st = Some((version, now));
-                    version
-                }
-            }
-        };
-        db.create_transaction_at(version)
-    }
-
-    /// Record a version observed via some other channel (e.g. a commit),
-    /// refreshing the cache for free.
-    pub fn observe(&self, db: &Database, version: u64) {
-        let now = self.now_ticks(db);
-        let mut st = lock_ranked(&self.state, LockRank::ReadVersionCache);
-        if st.is_none_or(|(v, _)| version >= v) {
-            *st = Some((version, now));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1215,97 +936,6 @@ mod tests {
     }
 
     #[test]
-    fn read_version_cache_avoids_grv() {
-        let db = Database::new();
-        let tx = db.create_transaction();
-        tx.set(b"k", b"v");
-        tx.commit().unwrap();
-
-        let cache = ReadVersionCache::new();
-        let before = db.grv_call_count();
-        let t1 = cache.create_transaction(&db, 1_000, 0).unwrap();
-        let t2 = cache.create_transaction(&db, 1_000, 0).unwrap();
-        assert_eq!(db.grv_call_count(), before + 1); // second reused cache
-        assert_eq!(t1.read_version(), t2.read_version());
-
-        // Stale cache refreshes after the staleness bound.
-        db.advance_clock(2_000);
-        let _t3 = cache.create_transaction(&db, 1_000, 0).unwrap();
-        assert_eq!(db.grv_call_count(), before + 2);
-    }
-
-    #[test]
-    fn read_version_cache_respects_min_version() {
-        let db = Database::new();
-        let cache = ReadVersionCache::new();
-        let _ = cache.create_transaction(&db, 10_000, 0).unwrap();
-        // Commit something; a client that observed that commit insists on
-        // reading at least that version.
-        let tx = db.create_transaction();
-        tx.set(b"k", b"v");
-        tx.commit().unwrap();
-        let min = tx.committed_version().unwrap();
-        let t = cache.create_transaction(&db, 10_000, min).unwrap();
-        assert!(t.read_version() >= min);
-        assert_eq!(t.get(b"k").unwrap(), Some(b"v".to_vec()));
-    }
-
-    #[test]
-    fn read_version_cache_staleness_with_injected_ticks() {
-        let db = Database::new();
-        let tx = db.create_transaction();
-        tx.set(b"k", b"v");
-        tx.commit().unwrap();
-
-        // Staleness runs on the injected counter: the database clock
-        // never moves in this test.
-        let ticks = Arc::new(AtomicU64::new(0));
-        let t2 = ticks.clone();
-        let cache = ReadVersionCache::with_tick_source(move || t2.load(Ordering::Relaxed));
-
-        let before = db.grv_call_count();
-        let _ = cache.create_transaction(&db, 100, 0).unwrap();
-        ticks.store(100, Ordering::Relaxed); // exactly at the bound: fresh
-        let _ = cache.create_transaction(&db, 100, 0).unwrap();
-        assert_eq!(db.grv_call_count(), before + 1);
-        ticks.store(101, Ordering::Relaxed); // one past: stale
-        let _ = cache.create_transaction(&db, 100, 0).unwrap();
-        assert_eq!(db.grv_call_count(), before + 2);
-    }
-
-    #[test]
-    fn read_version_cache_coalesces_concurrent_refreshes() {
-        let db = Database::new();
-        let tx = db.create_transaction();
-        tx.set(b"k", b"v");
-        tx.commit().unwrap();
-
-        let cache = Arc::new(ReadVersionCache::new());
-        // Warm, then make stale.
-        let _ = cache.create_transaction(&db, 1_000, 0).unwrap();
-        db.advance_clock(5_000);
-
-        let before = db.grv_call_count();
-        let barrier = Arc::new(std::sync::Barrier::new(8));
-        let threads: Vec<_> = (0..8)
-            .map(|_| {
-                let db = db.clone();
-                let cache = cache.clone();
-                let barrier = barrier.clone();
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    cache.create_transaction(&db, 1_000, 0).unwrap();
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        // The refresh happened under the cache lock: one GRV, seven reuses.
-        assert_eq!(db.grv_call_count(), before + 1);
-    }
-
-    #[test]
     fn shard_masks_cover_their_ranges() {
         // A point write conflict spans one shard.
         let key = b"t3/k42".to_vec();
@@ -1361,164 +991,44 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_shares_version_and_orders_members() {
-        let db = Database::new();
-        let batch = (0..3)
-            .map(|i| PendingCommit {
-                ticket: i,
-                commands: vec![Command::Set {
-                    key: format!("b{i}").into_bytes(),
-                    value: b"v".to_vec(),
-                }],
-            })
-            .collect();
-        let results = db.lead_batch(batch);
-        assert_eq!(results.len(), 3);
-        let receipts: Vec<_> = results.into_iter().map(|(_, r)| r.unwrap()).collect();
-        // One version allocation for the whole batch...
-        assert!(receipts.iter().all(|r| r.version == receipts[0].version));
-        // ...members distinguished by batch order...
-        let orders: Vec<_> = receipts.iter().map(|r| r.batch_order).collect();
-        assert_eq!(orders, vec![0, 1, 2]);
-        // ...and every member's writes visible at that version.
-        let tx = db.create_transaction();
-        for i in 0..3 {
-            assert_eq!(
-                tx.get(format!("b{i}").as_bytes()).unwrap(),
-                Some(b"v".to_vec())
-            );
-        }
-    }
-
-    #[test]
-    fn leader_panic_hands_leadership_back() {
-        let db = Database::new();
-        // A leader that dies mid-batch (while holding the store write
-        // lock) must abdicate on unwind; otherwise `leader_active` stays
-        // set and every later committer parks on the condvar forever.
-        db.panic_next_batch
-            .store(true, std::sync::atomic::Ordering::Release);
-        let worker = {
-            let db = db.clone();
-            std::thread::spawn(move || {
-                let tx = db.create_transaction();
-                tx.set(b"doomed", b"v");
-                tx.commit()
-            })
-        };
-        assert!(
-            worker.join().is_err(),
-            "injected leader failure should unwind the committing thread"
-        );
-        // The cluster keeps accepting commits afterwards.
-        let tx = db.create_transaction();
-        tx.set(b"survivor", b"v");
-        tx.commit().unwrap();
-        let tx = db.create_transaction();
-        assert_eq!(tx.get(b"survivor").unwrap(), Some(b"v".to_vec()));
-    }
-
-    #[test]
-    fn leader_unwind_fails_followers_instead_of_hanging_them() {
-        // Drive the guard directly: a batch of three where the leader
-        // (ticket 1) panics must publish `CommitUnknownResult` receipts
-        // for the two followers and clear `leader_active`.
-        let db = Database::new();
-        db.panic_next_batch
-            .store(true, std::sync::atomic::Ordering::Release);
-        {
-            let mut st = lock_ranked(&db.batcher.state, LockRank::CommitBatch);
-            st.leader_active = true;
-            st.next_ticket = 3;
-        }
-        let batch: Vec<PendingCommit> = (0..3)
-            .map(|i| PendingCommit {
-                ticket: i,
-                commands: vec![Command::Set {
-                    key: format!("f{i}").into_bytes(),
-                    value: b"v".to_vec(),
-                }],
-            })
-            .collect();
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            db.lead_and_publish(1, batch)
-        }));
-        assert!(unwound.is_err(), "injected panic should reach the caller");
-        let st = lock_ranked(&db.batcher.state, LockRank::CommitBatch);
-        assert!(!st.leader_active, "leadership must be handed back");
-        let mut failed: Vec<u64> = st
-            .results
-            .iter()
-            .map(|(t, r)| {
-                assert!(
-                    matches!(r, Err(Error::CommitUnknownResult)),
-                    "follower {t} should see commit_unknown_result, got {r:?}"
-                );
-                *t
-            })
-            .collect();
-        failed.sort_unstable();
-        // Followers 0 and 2 get receipts; the leader's own caller sees
-        // the panic directly, so no orphan receipt for ticket 1.
-        assert_eq!(failed, vec![0, 2]);
-    }
-
-    #[test]
-    fn group_commit_batch_pays_one_wal_frame() {
+    fn paged_commit_pays_one_wal_frame() {
         let db = Database::with_options(DatabaseOptions {
             engine: EngineKind::Paged(PagedConfig::ephemeral(EvictionPolicy::Lru)),
             ..DatabaseOptions::default()
         });
         let before = db.metrics().io_counters().snapshot().log_appends;
-        let batch = (0..4)
-            .map(|i| PendingCommit {
-                ticket: i,
-                commands: vec![Command::Set {
-                    key: format!("w{i}").into_bytes(),
-                    value: vec![0u8; 32],
-                }],
-            })
-            .collect();
-        for (_, r) in db.lead_batch(batch) {
-            r.unwrap();
+        let tx = db.create_transaction();
+        for i in 0..4 {
+            tx.set(format!("w{i}").as_bytes(), &[0u8; 32]);
         }
+        tx.commit().unwrap();
         let after = db.metrics().io_counters().snapshot().log_appends;
-        assert_eq!(after - before, 1, "4 batched commits, one WAL frame");
+        assert_eq!(after - before, 1, "one commit of 4 writes, one WAL frame");
     }
 
     #[test]
-    fn batch_member_with_bad_operand_fails_without_partial_writes() {
+    fn commit_with_bad_operand_fails_without_partial_writes() {
         let db = Database::new();
-        let batch = vec![
-            PendingCommit {
-                ticket: 0,
-                commands: vec![Command::Set {
-                    key: b"good".to_vec(),
-                    value: b"v".to_vec(),
-                }],
+        let commands = [
+            Command::Set {
+                key: b"bad-first".to_vec(),
+                value: b"v".to_vec(),
             },
-            PendingCommit {
-                ticket: 1,
-                commands: vec![
-                    Command::Set {
-                        key: b"bad-first".to_vec(),
-                        value: b"v".to_vec(),
-                    },
-                    Command::Atomic {
-                        key: b"bad".to_vec(),
-                        op: MutationType::Add,
-                        param: vec![0u8; 17], // ADD operand too wide
-                    },
-                ],
+            Command::Atomic {
+                key: b"bad".to_vec(),
+                op: MutationType::Add,
+                param: vec![0u8; 17], // ADD operand too wide
             },
         ];
-        let results = db.lead_batch(batch);
-        assert!(results[0].1.is_ok());
-        assert!(results[1].1.is_err());
+        assert!(db.apply(&commands).is_err());
+        assert_eq!(db.last_commit_version(), 0, "no version was published");
+        // The failed commit left nothing behind — not even the Set that
+        // preceded its bad atomic, once a later commit publishes a version.
+        let tx = db.create_transaction();
+        tx.set(b"good", b"v");
+        tx.commit().unwrap();
         let tx = db.create_transaction();
         assert_eq!(tx.get(b"good").unwrap(), Some(b"v".to_vec()));
-        // The failed member left nothing behind — not even the Set that
-        // preceded its bad atomic.
         assert_eq!(tx.get(b"bad-first").unwrap(), None);
     }
 

@@ -13,32 +13,25 @@
 //!
 //! The declared order (lower ranks first):
 //!
-//! 1. [`LockRank::ReadVersionCache`] — the client-side GRV cache; never
-//!    held across a database call.
-//! 2. [`LockRank::TransactionState`] — a transaction's buffered-write
+//! 1. [`LockRank::TransactionState`] — a transaction's buffered-write
 //!    state; held while the commit pipeline runs.
-//! 3. [`LockRank::ConflictShard`] — one shard of the recent-writes
+//! 2. [`LockRank::ConflictShard`] — one shard of the recent-writes
 //!    conflict index. An **indexed band**: a thread may hold several
 //!    shard locks at once as long as it acquires them in ascending
 //!    shard order (see [`lock_ranked_indexed`]).
-//! 4. [`LockRank::CommitBatch`] — the group-commit batcher's queue;
-//!    taken with shard locks held, released while a batch leader runs.
-//! 5. [`LockRank::VersionCore`] — version allocation + compaction
-//!    bookkeeping; a short critical section only the batch leader takes.
-//! 6. [`LockRank::DatabaseStore`] — the storage engine `RwLock`; the
+//! 3. [`LockRank::DatabaseStore`] — the storage engine `RwLock`; the
 //!    innermost ranked lock. Acquired shared for MVCC snapshot reads
-//!    ([`read_ranked`]) and exclusive for commit application
-//!    ([`write_ranked`]). Under its shared side, the paged engine's
-//!    private pool latch is the one lock taken; it is a leaf, and it
-//!    carries no rank because `rl_storage` sits below this crate.
+//!    ([`read_ranked`]) and exclusive for commit application, version
+//!    allocation included ([`write_ranked`]). Under its shared side, the
+//!    paged engine's private pool latch is the one lock taken; it is a
+//!    leaf, and it carries no rank because `rl_storage` sits below this
+//!    crate.
 //!
 //! In release builds the tracker compiles away entirely: [`lock_ranked`]
 //! is exactly [`lock`].
 
 use std::ops::{Deref, DerefMut};
-use std::sync::{
-    Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Lock a mutex, explicitly recovering from poisoning: a panic in another
 /// thread mid-commit leaves the simulated cluster state intact enough for
@@ -56,31 +49,22 @@ pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 #[repr(u8)]
 pub enum LockRank {
-    /// `ReadVersionCache::state`.
-    ReadVersionCache = 10,
     /// `Transaction::state`.
-    TransactionState = 20,
+    TransactionState = 10,
     /// One `Database` conflict-index shard (indexed band; ascending
     /// shard order).
-    ConflictShard = 30,
-    /// The group-commit batcher's shared queue state.
-    CommitBatch = 40,
-    /// Version allocation + compaction counters (batch leader only).
-    VersionCore = 50,
+    ConflictShard = 20,
     /// The storage-engine `RwLock` (shared for reads, exclusive for
     /// commit application).
-    DatabaseStore = 60,
+    DatabaseStore = 30,
 }
 
 impl LockRank {
     #[cfg(debug_assertions)]
     fn name(self) -> &'static str {
         match self {
-            LockRank::ReadVersionCache => "ReadVersionCache::state",
             LockRank::TransactionState => "Transaction::state",
             LockRank::ConflictShard => "Database::shards[i]",
-            LockRank::CommitBatch => "CommitBatcher::state",
-            LockRank::VersionCore => "Database::core",
             LockRank::DatabaseStore => "Database::store",
         }
     }
@@ -89,8 +73,7 @@ impl LockRank {
 /// A `MutexGuard` whose acquisition was checked against the thread's held
 /// ranks; releases its rank entry on drop.
 pub struct RankedGuard<'a, T> {
-    /// `Some` except transiently inside [`RankedGuard::wait_on`].
-    guard: Option<MutexGuard<'a, T>>,
+    guard: MutexGuard<'a, T>,
     #[cfg(debug_assertions)]
     rank: LockRank,
     #[cfg(debug_assertions)]
@@ -100,13 +83,13 @@ pub struct RankedGuard<'a, T> {
 impl<T> Deref for RankedGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.guard.as_ref().expect("guard present outside wait_on")
+        &self.guard
     }
 }
 
 impl<T> DerefMut for RankedGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.guard.as_mut().expect("guard present outside wait_on")
+        &mut self.guard
     }
 }
 
@@ -114,19 +97,6 @@ impl<T> DerefMut for RankedGuard<'_, T> {
 impl<T> Drop for RankedGuard<'_, T> {
     fn drop(&mut self) {
         tracker::release(self.rank, self.index);
-    }
-}
-
-impl<'a, T> RankedGuard<'a, T> {
-    /// Block on `cv` until notified, releasing the mutex for the duration
-    /// exactly like `Condvar::wait`. The *rank* stays held: a parked
-    /// thread does nothing else, and keeping the entry means a spurious
-    /// wakeup can immediately re-examine state and wait again without
-    /// re-checking the order. Poisoning is recovered like [`lock`].
-    pub fn wait_on(&mut self, cv: &Condvar) {
-        let g = self.guard.take().expect("guard present outside wait_on");
-        let g = cv.wait(g).unwrap_or_else(PoisonError::into_inner);
-        self.guard = Some(g);
     }
 }
 
@@ -139,7 +109,7 @@ pub fn lock_ranked<T>(m: &Mutex<T>, rank: LockRank) -> RankedGuard<'_, T> {
     #[cfg(not(debug_assertions))]
     let _ = rank;
     RankedGuard {
-        guard: Some(lock(m)),
+        guard: lock(m),
         #[cfg(debug_assertions)]
         rank,
         #[cfg(debug_assertions)]
@@ -159,7 +129,7 @@ pub fn lock_ranked_indexed<T>(m: &Mutex<T>, rank: LockRank, index: usize) -> Ran
     #[cfg(not(debug_assertions))]
     let _ = (rank, index);
     RankedGuard {
-        guard: Some(lock(m)),
+        guard: lock(m),
         #[cfg(debug_assertions)]
         rank,
         #[cfg(debug_assertions)]
@@ -289,9 +259,8 @@ mod tracker {
                     held.clear();
                     panic!(
                         "lock-rank violation: acquiring `{}`{} while holding {:?} — \
-                         declared order is ReadVersionCache < TransactionState < \
-                         ConflictShard (ascending indices) < CommitBatch < \
-                         VersionCore < DatabaseStore (see rl_fdb::sync)",
+                         declared order is TransactionState < ConflictShard \
+                         (ascending indices) < DatabaseStore (see rl_fdb::sync)",
                         rank.name(),
                         index.map(|i| format!("#{i}")).unwrap_or_default(),
                         chain,
@@ -347,12 +316,10 @@ mod tests {
     fn ascending_ranks_are_allowed() {
         let a = Mutex::new(());
         let b = Mutex::new(());
-        let c = Mutex::new(());
-        let d = RwLock::new(());
-        let _ga = lock_ranked(&a, LockRank::ReadVersionCache);
-        let _gb = lock_ranked(&b, LockRank::TransactionState);
-        let _gc = lock_ranked(&c, LockRank::VersionCore);
-        let _gd = write_ranked(&d, LockRank::DatabaseStore);
+        let c = RwLock::new(());
+        let _ga = lock_ranked(&a, LockRank::TransactionState);
+        let _gb = lock_ranked_indexed(&b, LockRank::ConflictShard, 0);
+        let _gc = write_ranked(&c, LockRank::DatabaseStore);
     }
 
     #[cfg(debug_assertions)]
@@ -363,7 +330,7 @@ mod tests {
         let result = std::thread::spawn(|| {
             let hi = Mutex::new(());
             let lo = Mutex::new(());
-            let _g_hi = lock_ranked(&hi, LockRank::VersionCore);
+            let _g_hi = lock_ranked_indexed(&hi, LockRank::ConflictShard, 0);
             let _g_lo = lock_ranked(&lo, LockRank::TransactionState); // inversion
         })
         .join();
@@ -394,8 +361,8 @@ mod tests {
         let _gb = lock_ranked_indexed(&b, LockRank::ConflictShard, 3);
         let _gc = lock_ranked_indexed(&c, LockRank::ConflictShard, 15);
         // And the band still ascends into higher ranks.
-        let d = Mutex::new(());
-        let _gd = lock_ranked(&d, LockRank::CommitBatch);
+        let d = RwLock::new(());
+        let _gd = read_ranked(&d, LockRank::DatabaseStore);
     }
 
     #[cfg(debug_assertions)]
@@ -454,32 +421,10 @@ mod tests {
             let a = RwLock::new(());
             let b = Mutex::new(());
             let _ga = write_ranked(&a, LockRank::DatabaseStore);
-            let _gb = lock_ranked(&b, LockRank::VersionCore); // inversion
+            let _gb = lock_ranked_indexed(&b, LockRank::ConflictShard, 3); // inversion
         })
         .join();
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn wait_on_reacquires_the_mutex() {
-        use std::sync::Arc;
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let pair2 = pair.clone();
-        let waiter = std::thread::spawn(move || {
-            let (m, cv) = &*pair2;
-            let mut g = lock_ranked(m, LockRank::CommitBatch);
-            while !*g {
-                g.wait_on(cv);
-            }
-            *g
-        });
-        {
-            let (m, cv) = &*pair;
-            let mut g = lock_ranked(m, LockRank::CommitBatch);
-            *g = true;
-            cv.notify_all();
-        }
-        assert!(waiter.join().unwrap());
     }
 
     #[test]
@@ -487,10 +432,10 @@ mod tests {
         let a = Mutex::new(());
         let b = Mutex::new(());
         let ga = lock_ranked(&a, LockRank::TransactionState);
-        let gb = lock_ranked(&b, LockRank::VersionCore);
+        let gb = lock_ranked_indexed(&b, LockRank::ConflictShard, 7);
         drop(ga); // dropped before gb: release must not pop gb's rank
         let c = Mutex::new(());
-        // TransactionState is free again; VersionCore still held, so
+        // TransactionState is free again; ConflictShard still held, so
         // acquiring TransactionState now would be an inversion — but
         // re-acquiring after dropping gb too must succeed.
         drop(gb);

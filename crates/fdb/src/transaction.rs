@@ -101,9 +101,6 @@ struct TxState {
     size: usize,
     committed: bool,
     commit_version: Option<u64>,
-    /// Position within the group-commit batch that carried this
-    /// transaction (the middle 2 bytes of its versionstamp).
-    commit_order: u16,
     /// Per-transaction read/write attribution (see [`TxnTrace`]).
     trace: TxnTrace,
     /// Free-form attribution tag for this transaction's span (tenant,
@@ -215,16 +212,9 @@ impl Transaction {
     }
 
     /// The 10-byte transaction versionstamp (8-byte commit version, then
-    /// the 2-byte batch order), available after commit.
+    /// the 2-byte batch order, always 0), available after commit.
     pub fn versionstamp(&self) -> Option<[u8; 10]> {
-        let st = lock_ranked(&self.state, LockRank::TransactionState);
-        let order = st.commit_order;
-        st.commit_version.map(|v| {
-            let mut out = [0u8; 10];
-            out[0..8].copy_from_slice(&v.to_be_bytes());
-            out[8..10].copy_from_slice(&order.to_be_bytes());
-            out
-        })
+        self.committed_version().map(atomic::transaction_version)
     }
 
     fn check_open(&self, st: &TxState) -> Result<()> {
@@ -548,16 +538,27 @@ impl Transaction {
         match op {
             MutationType::SetVersionstampedKey => {
                 let (payload, offset) = atomic::split_versionstamp_operand(key)?;
+                // The final key is unknown until commit, so conflict on
+                // every key the stamp can produce, as FDB's
+                // getVersionstampKeyRange does: from the payload stamped
+                // with this read version (commit versions lie above it) to
+                // just past the payload stamped with 0xFF bytes.
+                let mut lowest = payload.clone();
+                atomic::fill_versionstamp(
+                    &mut lowest,
+                    offset,
+                    &atomic::transaction_version(self.read_version),
+                );
+                let mut highest = payload.clone();
+                atomic::fill_versionstamp(&mut highest, offset, &[0xFF; 10]);
+                st.write_conflicts
+                    .push((lowest, crate::key_after(&highest)));
+                st.size += payload.len() + param.len() + 28;
                 st.commands.push(Command::VersionstampedKey {
-                    key_payload: payload.clone(),
+                    key_payload: payload,
                     offset,
                     value: param.to_vec(),
                 });
-                // The final key is unknown until commit; conservatively add
-                // a write conflict over the placeholder form.
-                st.write_conflicts
-                    .push((payload.clone(), crate::key_after(&payload)));
-                st.size += payload.len() + param.len() + 28;
             }
             MutationType::SetVersionstampedValue => {
                 let (payload, offset) = atomic::split_versionstamp_operand(param)?;
@@ -667,10 +668,9 @@ impl Transaction {
             &st.write_conflicts,
             &st.commands,
         ) {
-            Ok((version, batch_order, keys_written, bytes_written)) => {
+            Ok((version, keys_written, bytes_written)) => {
                 st.committed = true;
                 st.commit_version = Some(version);
-                st.commit_order = batch_order;
                 st.trace.keys_written = keys_written;
                 st.trace.bytes_written = bytes_written;
                 self.emit_txn_span(&st, "committed");

@@ -214,3 +214,31 @@ fn read_only_transactions_always_commit() {
     // ...but a read-only transaction already saw a consistent snapshot.
     t1.commit().unwrap();
 }
+
+#[test]
+fn versionstamped_key_conflicts_with_readers_of_its_final_key() {
+    // The reader's range holds every key the stamp can produce at a low
+    // commit version, but not the 0xFF placeholder form of the key.
+    let db = Database::new();
+    let reader = db.create_transaction();
+    let _ = reader
+        .get_range(b"vs\x00", b"vs\x7f", RangeOptions::default())
+        .unwrap();
+
+    let writer = db.create_transaction();
+    let mut key = b"vs".to_vec();
+    key.extend_from_slice(&[0xFF; 10]);
+    key.extend_from_slice(&2u32.to_le_bytes());
+    writer
+        .mutate(MutationType::SetVersionstampedKey, &key, b"v")
+        .unwrap();
+    writer.commit().unwrap();
+    let stamped = db
+        .create_transaction()
+        .get_range(b"vs\x00", b"vs\x7f", RangeOptions::default())
+        .unwrap();
+    assert_eq!(stamped.len(), 1, "the stamped key lands in the read range");
+
+    reader.set(b"x", b"1");
+    assert!(matches!(reader.commit(), Err(Error::NotCommitted)));
+}

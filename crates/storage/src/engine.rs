@@ -67,7 +67,8 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
 
     /// Mark the end of a committed batch. A crash-safe engine makes every
     /// write since the previous `commit_batch` durable atomically; the
-    /// in-memory engine ignores it.
+    /// in-memory engine ignores it. The database calls it once per commit,
+    /// so a batch is one transaction's writes.
     fn commit_batch(&mut self) {}
 
     /// Drop versions that are no longer visible to any read version

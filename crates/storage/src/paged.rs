@@ -5,11 +5,10 @@
 //! Each [`StorageEngine::write`]/[`StorageEngine::clear_range`] is buffered
 //! into the WAL *and* applied to the tree immediately; nothing reaches the
 //! log file until [`StorageEngine::commit_batch`] appends the buffered ops
-//! as one checksummed frame. This is also the group-commit contract the
-//! database's commit batcher relies on: it applies every transaction in a
-//! batch, then seals them with a *single* `commit_batch`, so N concurrent
-//! committers pay one WAL frame (one `log_appends` tick) instead of N.
-//! The tree pages the batch dirtied stay in the
+//! as one checksummed frame. The database seals each commit with one
+//! `commit_batch`, under its exclusive store lock, so a commit pays one
+//! WAL frame (one `log_appends` tick) however many keys it writes. The
+//! tree pages the batch dirtied stay in the
 //! buffer pool (or get evicted to disk) without any ordering constraint,
 //! because the on-disk meta root still points at the last checkpoint's
 //! tree — shadow paging guarantees eviction can never damage it.
@@ -501,9 +500,11 @@ mod tests {
 
     #[test]
     fn one_commit_batch_seals_many_transactions_in_one_frame() {
-        // The group-commit contract: several transactions' writes (here,
-        // at distinct versions) buffered between commit_batch calls land
-        // as exactly one WAL frame — one log_appends tick for the batch.
+        // The engine's batch contract: every write buffered between
+        // commit_batch calls, whatever its version (here, four
+        // transactions' worth), lands as exactly one WAL frame — one
+        // log_appends tick for the batch. The database seals one commit
+        // per batch; the engine does not depend on that.
         let d = dir("groupcommit");
         let counters = IoCounters::new_shared();
         let mut e = PagedEngine::open(&d, 32, EvictionPolicy::Lru, counters.clone()).unwrap();

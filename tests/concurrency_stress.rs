@@ -4,8 +4,8 @@
 //! one transaction) through the sharded OCC commit pipeline while
 //! reader threads repeatedly snapshot both halves and assert they are
 //! equal — a torn pair would mean a read straddled two versions.
-//! Afterwards the committed history, ordered by (commit version, group
-//! commit batch order), is replayed single-threaded as an oracle:
+//! Afterwards the committed history, ordered by commit version, is
+//! replayed single-threaded as an oracle:
 //! every successful read-modify-write must have observed exactly the
 //! replay value at its point in the order (OCC admitted no lost
 //! updates), and the final database state must equal the replay state.
@@ -48,7 +48,6 @@ fn decode(v: Option<Vec<u8>>) -> u64 {
 #[derive(Debug, Clone, Copy)]
 struct Committed {
     version: u64,
-    batch_order: u16,
     pair: usize,
     observed: u64,
 }
@@ -79,10 +78,10 @@ fn stress(db: &Database, seed: u64) {
                                 let version =
                                     tx.committed_version().expect("committed tx has a version");
                                 let stamp = tx.versionstamp().expect("committed tx has a stamp");
-                                let batch_order = u16::from_be_bytes([stamp[8], stamp[9]]);
+                                // Each commit seals on its own: batch order 0.
+                                assert_eq!(stamp[8..10], [0, 0], "batch order of {stamp:?}");
                                 rl_fdb::sync::lock(history).push(Committed {
                                     version,
-                                    batch_order,
                                     pair,
                                     observed: a,
                                 });
@@ -117,13 +116,12 @@ fn stress(db: &Database, seed: u64) {
     // ------------------------------------------------- oracle replay
     let mut history = history.into_inner().unwrap();
     assert_eq!(history.len(), WRITERS * OPS_PER_WRITER);
-    history.sort_by_key(|c| (c.version, c.batch_order));
-    // Committed versions are unique per batch; batch order disambiguates
-    // members of one group-commit batch.
+    history.sort_by_key(|c| c.version);
+    // Every commit gets its own version.
     for w in history.windows(2) {
         assert!(
-            (w[0].version, w[0].batch_order) < (w[1].version, w[1].batch_order),
-            "two commits share (version, batch_order): {w:?}"
+            w[0].version < w[1].version,
+            "two commits share a version: {w:?}"
         );
     }
 
